@@ -134,11 +134,11 @@ def cmd_bench(args) -> int:
     x = nn.Tensor(np.random.default_rng(args.seed)
                   .uniform(0, 1, size=(1, c, h, w)).astype(np.float32))
     for _ in range(args.warmup):
-        netdef.forward_trace(g, x)
+        netdef.forward(g, x)
     samples = []
     for _ in range(args.runs):
         t0 = time.perf_counter()
-        netdef.forward_trace(g, x)
+        netdef.forward(g, x)
         samples.append(time.perf_counter() - t0)
     report = {
         "config": args.config,

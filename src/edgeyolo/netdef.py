@@ -136,6 +136,7 @@ class NetGraph:
         self.anchors = None                     # AnchorSet, attached separately
         self.anchors_per_scale: int | None = None
         self._infer_shapes()
+        self.free_after = self._plan_liveness()
 
     # -- static structure ---------------------------------------------------
 
@@ -197,6 +198,23 @@ class NetGraph:
             raise ConfigError(f"head scale indices must be 0..{len(scale_seen) - 1}, "
                               f"got {sorted(scale_seen)}")
         self.out_shapes = shapes
+
+    def _plan_liveness(self) -> list[list[int]]:
+        """free_after[j] lists the outputs whose last reader is layer j.
+
+        Routes read their route_refs, every other layer reads index - 1.
+        An output nothing reads is listed under its own layer, so inference
+        drops it as soon as it is made (heads keep their own reference).
+        """
+        last = list(range(len(self.layers)))
+        for sp in self.layers:
+            for r in sp.route_refs if sp.kind == "route" else (sp.index - 1,):
+                if r >= 0:
+                    last[r] = sp.index
+        free_after: list[list[int]] = [[] for _ in self.layers]
+        for i, j in enumerate(last):
+            free_after[j].append(i)
+        return free_after
 
     def head_layers(self) -> list[LayerSpec]:
         """Head layer specs sorted coarse grid first (scale index order)."""
@@ -484,9 +502,31 @@ def forward_trace(g: NetGraph, x: Tensor, train: bool = False,
                   bn_momentum: float = 0.9):
     """Run the graph keeping every intermediate; returns (outputs, caches, heads).
 
-    With train=True batch norm uses batch statistics and folds them into the
-    running estimates with the given momentum.
+    Keeps what graph_backward reads: every layer output, each conv's input,
+    batch-norm and activation inputs, each pool's argmax (maxpool_forward)
+    and each concat's channel split. With train=True batch norm uses batch
+    statistics and folds them into the running estimates with the given
+    momentum.
     """
+    return _run(g, x, keep=True, train=train, bn_momentum=bn_momentum)
+
+
+def forward(g: NetGraph, x: Tensor) -> list[HeadOutput]:
+    """Inference: returns head outputs ordered coarsest grid first.
+
+    Keeps no training state: batch norm uses the running statistics, pools
+    compute no argmax (maxpool_raw), no backward caches are built and each
+    layer output is dropped once its last reader has run. The heads are
+    bitwise equal to forward_trace(train=False)'s, short of the NaN and
+    signed-zero cases nn.maxpool_raw documents.
+    """
+    _, _, heads = _run(g, x, keep=False)
+    return heads
+
+
+def _run(g: NetGraph, x: Tensor, keep: bool, train: bool = False,
+         bn_momentum: float = 0.9):
+    """The layer loop behind forward (keep=False) and forward_trace (keep=True)."""
     w, h, c = g.input_shape
     if (x.c, x.h, x.w) != (c, h, w):
         raise ShapeError(f"graph expects input (c,h,w)=({c},{h},{w}), "
@@ -494,7 +534,7 @@ def forward_trace(g: NetGraph, x: Tensor, train: bool = False,
     if not g.is_weighted():
         missing = [sp.index for sp in g.conv_layers() if g.params[sp.index] is None]
         raise ValueError(f"graph has no weights for conv layers {missing}")
-    outputs: list[np.ndarray] = []
+    outputs: list[np.ndarray | None] = []
     caches: list[dict] = []
     heads: list[HeadOutput] = []
     for sp in g.layers:
@@ -503,36 +543,37 @@ def forward_trace(g: NetGraph, x: Tensor, train: bool = False,
         if sp.kind == "conv":
             p = g.params[sp.index]
             z = nn.conv2d_raw(src, p["w"], p["b"], sp.stride)
-            cache["conv_x"] = src
-            if sp.batch_norm:
-                if train:
-                    zn, bn_cache = nn.batchnorm_train_forward(
-                        z, p["gamma"], p["beta"], 1e-5)
-                    cache["bn"] = bn_cache
-                    _, _, _, mu, var = bn_cache
-                    p["mean"] = (bn_momentum * p["mean"]
-                                 + (1.0 - bn_momentum) * mu).astype(p["mean"].dtype)
-                    p["var"] = (bn_momentum * p["var"]
-                                + (1.0 - bn_momentum) * var).astype(p["var"].dtype)
-                else:
-                    zn = nn.batchnorm_infer_raw(z, p["gamma"], p["beta"],
-                                                p["mean"], p["var"], 1e-5)
+            if sp.batch_norm and train:
+                z, cache["bn"] = nn.batchnorm_train_forward(z, p["gamma"], p["beta"], 1e-5)
+                _, _, _, mu, var = cache["bn"]
+                p["mean"] = (bn_momentum * p["mean"]
+                             + (1.0 - bn_momentum) * mu).astype(p["mean"].dtype)
+                p["var"] = (bn_momentum * p["var"]
+                            + (1.0 - bn_momentum) * var).astype(p["var"].dtype)
+            elif sp.batch_norm:
+                if keep:
                     cache["bn_x"] = z
-            else:
-                zn = z
-            cache["act_x"] = zn
-            out = nn.activate_raw(zn, sp.activation)
+                z = nn.batchnorm_infer_raw(z, p["gamma"], p["beta"],
+                                           p["mean"], p["var"], 1e-5)
+            if keep:
+                cache["conv_x"], cache["act_x"] = src, z
+            out = nn.activate_raw(z, sp.activation)
+            del z       # not held while the next layer runs
         elif sp.kind == "max":
-            out, arg = nn.maxpool_forward(src, sp.size, sp.stride)
-            cache["pool_arg"] = arg
-            cache["pool_shape"] = src.shape
-        elif sp.kind == "route":
-            srcs = [outputs[r] for r in sp.route_refs]
-            if sp.split is not None:
-                out = nn.split_half(srcs[0], sp.split)
+            if keep:
+                out, cache["pool_arg"] = nn.maxpool_forward(src, sp.size, sp.stride)
+                cache["pool_shape"] = src.shape
             else:
-                out = nn.concat_channels(srcs)
-                cache["route_channels"] = [s.shape[1] for s in srcs]
+                out = nn.maxpool_raw(src, sp.size, sp.stride)
+        elif sp.kind == "route":
+            # no local list of sources, so a freed output is not held past its reader
+            if sp.split is not None:
+                out = nn.split_half(outputs[sp.route_refs[0]], sp.split)
+            else:
+                out = nn.concat_channels([outputs[r] for r in sp.route_refs])
+                if keep:
+                    cache["route_channels"] = [outputs[r].shape[1]
+                                               for r in sp.route_refs]
         elif sp.kind == "upsample":
             out = nn.upsample2x_raw(src)
         elif sp.kind == "yolo_head":
@@ -541,15 +582,13 @@ def forward_trace(g: NetGraph, x: Tensor, train: bool = False,
         else:
             raise ValueError(f"unknown layer kind {sp.kind!r}")
         outputs.append(out)
-        caches.append(cache)
+        if keep:
+            caches.append(cache)
+        else:
+            for i in g.free_after[sp.index]:
+                outputs[i] = None
     heads.sort(key=lambda ho: ho.scale_index)
     return outputs, caches, heads
-
-
-def forward(g: NetGraph, x: Tensor, train: bool = False) -> list[HeadOutput]:
-    """Run the graph; returns head outputs ordered coarsest grid first."""
-    _, _, heads = forward_trace(g, x, train=train)
-    return heads
 
 
 # ---------------------------------------------------------------------------

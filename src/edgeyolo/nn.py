@@ -1,13 +1,15 @@
 """Dense NCHW tensors and the small set of layer kernels the detector needs.
 
-Everything here is plain numpy. Each forward kernel has a matching backward
-used by the training loop; forwards are pure functions of their inputs, so
-identical inputs always produce bitwise-identical outputs.
+Everything here is plain numpy. Each forward kernel used by the training loop
+has a matching backward. The one inference-only kernel, `maxpool_raw`, has
+none: it skips the argmax that `maxpool_backward` needs. Forwards are pure
+functions of their inputs, so identical inputs always produce
+bitwise-identical outputs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -96,32 +98,6 @@ class ConvParams:
     @property
     def kernel(self) -> int:
         return self.weights.shape[2]
-
-
-@dataclass
-class BatchNormParams:
-    """Per-channel affine + running statistics, inference semantics."""
-
-    gamma: np.ndarray
-    beta: np.ndarray
-    mean: np.ndarray
-    var: np.ndarray
-    eps: float = 1e-5
-
-    def __post_init__(self):
-        vecs = [np.asarray(v) for v in (self.gamma, self.beta, self.mean, self.var)]
-        c = vecs[0].shape
-        if any(v.ndim != 1 or v.shape != c for v in vecs):
-            raise ShapeError("batch norm vectors must be 1-d and the same length")
-        if np.any(vecs[3] < 0):
-            raise ValueError("running variance must be non-negative")
-        if self.eps <= 0:
-            raise ValueError("eps must be positive")
-        self.gamma, self.beta, self.mean, self.var = vecs
-
-    @property
-    def channels(self) -> int:
-        return self.gamma.shape[0]
 
 
 def conv_out_size(size: int, kernel: int, stride: int) -> int:
@@ -225,7 +201,7 @@ def activate_raw(x: np.ndarray, kind: str, alpha: float = 0.1) -> np.ndarray:
     if kind == "leaky_relu":
         if not 0.0 < alpha < 1.0:
             raise ValueError(f"leaky slope must be in (0,1), got {alpha}")
-        return np.where(x > 0, x, alpha * x)
+        return np.maximum(x, alpha * x)   # bitwise where(x > 0, x, alpha * x)
     if kind == "relu":
         return np.maximum(x, 0)
     if kind == "mish":
@@ -272,6 +248,44 @@ def maxpool_forward(x: np.ndarray, kernel: int, stride: int) -> tuple[np.ndarray
             best = np.where(better, patch, best)
             arg[better] = ki * kernel + kj
     return best, arg
+
+
+def maxpool_raw(x: np.ndarray, kernel: int, stride: int) -> np.ndarray:
+    """Inference max pool: maxpool_forward's values without the argmax.
+
+    Separable: a running max over the kernel's row offsets, then over its
+    column offsets, so 2k passes instead of k^2. Stride-1 pools pad with
+    -inf like maxpool_forward; pools without padding make no padded copy.
+    A NaN in a window propagates to that window's output (np.maximum),
+    while maxpool_forward's `>` scan skips it, so the two are equal only on
+    NaN-free input. Equal means equal values: where a window holds both +0
+    and -0, the zero that wins may differ in sign.
+    """
+    h, w = x.shape[2:]
+    pad = kernel // 2 if stride == 1 else 0
+    hout = pool_out_size(h, kernel, stride)
+    wout = pool_out_size(w, kernel, stride)
+    if hout < 1 or wout < 1:
+        raise ShapeError(f"pool {kernel}x{kernel}/{stride} does not fit input {h}x{w}")
+    if pad:
+        x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)),
+                   constant_values=-np.inf)
+    rows = _running_max(x, kernel, stride, hout, axis=2)
+    return _running_max(rows, kernel, stride, wout, axis=3)
+
+
+def _running_max(a: np.ndarray, kernel: int, stride: int, size: int,
+                 axis: int) -> np.ndarray:
+    """out[i] = max(a[i * stride + k] for k < kernel) along one axis, i < size."""
+    def tap(k: int) -> np.ndarray:
+        index = [slice(None)] * a.ndim
+        index[axis] = slice(k, k + stride * size, stride)
+        return a[tuple(index)]
+
+    out = tap(0).copy()
+    for k in range(1, kernel):
+        np.maximum(out, tap(k), out=out)
+    return out
 
 
 def maxpool_backward(dy: np.ndarray, arg: np.ndarray, x_shape: tuple,
@@ -321,55 +335,3 @@ def split_half_backward(dy: np.ndarray, c_total: int, half: int) -> np.ndarray:
     lo = half * (c_total // 2)
     dx[:, lo:lo + c_total // 2] = dy
     return dx
-
-
-# ---------------------------------------------------------------------------
-# tensor-level wrappers
-# ---------------------------------------------------------------------------
-
-def conv2d(x: Tensor, p: ConvParams) -> Tensor:
-    """Same-padded convolution with zero fill; output HxW = ceil(in/stride)."""
-    return Tensor(conv2d_raw(x.data, p.weights, p.bias, p.stride))
-
-
-def batch_norm(x: Tensor, p: BatchNormParams) -> Tensor:
-    """Normalize with the stored running statistics (inference behaviour)."""
-    if x.c != p.channels:
-        raise ShapeError(f"batch norm expects {p.channels} channels, got {x.c}")
-    return Tensor(batchnorm_infer_raw(x.data, p.gamma, p.beta, p.mean, p.var, p.eps))
-
-
-def activate(x: Tensor, kind: str, alpha: float = 0.1) -> Tensor:
-    return Tensor(activate_raw(x.data, kind, alpha))
-
-
-def max_pool(x: Tensor, kernel: int, stride: int) -> Tensor:
-    y, _ = maxpool_forward(x.data, kernel, stride)
-    return Tensor(y)
-
-
-def upsample2x(x: Tensor) -> Tensor:
-    """Nearest-neighbour 2x upsampling: each pixel becomes a 2x2 block."""
-    return Tensor(upsample2x_raw(x.data))
-
-
-def route(inputs: Sequence[Tensor], split: int | None = None) -> Tensor:
-    """Concatenate inputs along channels, or take one channel half.
-
-    With split in {0, 1} exactly one input is expected and its lower or upper
-    channel half is returned. Otherwise all inputs must agree on (n, h, w).
-    """
-    if not inputs:
-        raise ShapeError("route needs at least one input")
-    if split is not None:
-        if split not in (0, 1):
-            raise ValueError(f"split must be 0 or 1, got {split}")
-        if len(inputs) != 1:
-            raise ShapeError("split route takes exactly one input")
-        return Tensor(split_half(inputs[0].data, split))
-    base = inputs[0]
-    for t in inputs[1:]:
-        if (t.n, t.h, t.w) != (base.n, base.h, base.w):
-            raise ShapeError(
-                f"route inputs disagree on (n,h,w): {t.shape} vs {base.shape}")
-    return Tensor(concat_channels([t.data for t in inputs]))

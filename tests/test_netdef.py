@@ -182,6 +182,56 @@ def test_forward_deterministic():
     assert np.array_equal(a, b)
 
 
+# SPP 5/9/13, 2x2/2 pools, a split, concats and an upsample between two heads
+POOLED = """\
+net 32 32 3
+conv 3x3/1 8
+max 2x2/2
+conv 3x3/1 16
+route 2 split 1
+conv 3x3/1 8
+route 4 3
+max 2x2/2
+conv 1x1/1 16
+max 5x5/1
+route 7
+max 9x9/1
+route 7
+max 13x13/1
+route 12 10 8 7
+conv 1x1/1 16
+conv 1x1/1 14 linear
+head 0
+route 14
+conv 1x1/1 8
+upsample
+route 19 5
+conv 3x3/1 14 linear
+head 1
+"""
+
+
+def test_liveness_plan_frees_after_last_reader():
+    g = parse_config(POOLED)
+    assert g.free_after == [
+        [], [0], [1], [2], [], [3, 4], [], [6], [], [], [9], [], [11],
+        [7, 8, 10, 12], [13], [], [15, 16], [14], [17], [18], [5, 19], [20],
+        [21, 22]]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_forward_heads_bitwise_equal_to_trace(rng, dtype):
+    g = parse_config(POOLED).init_random(5, dtype=dtype)
+    x = nn.Tensor(rng.normal(size=(2, 3, 32, 32)).astype(dtype))
+    _, _, want = netdef.forward_trace(g, x, train=False)
+    got = netdef.forward(g, x)
+    assert [h.scale_index for h in got] == [0, 1]
+    for a, b in zip(got, want):
+        assert a.raw.data.dtype == dtype
+        assert a.raw.shape == b.raw.shape
+        assert a.raw.data.tobytes() == b.raw.data.tobytes()
+
+
 def test_seeded_preset_forward_checksum():
     """Frozen regression value: seeded graph, fixed input, output checksum.
 

@@ -65,6 +65,20 @@ def test_maxpool_matches_oracle(rng, k, stride):
     assert np.array_equal(got, want)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("k,stride,h,w", [
+    (2, 2, 13, 13), (2, 2, 11, 8), (3, 2, 13, 13), (3, 2, 10, 7),
+    (5, 1, 13, 13), (9, 1, 13, 13), (13, 1, 13, 13)])
+def test_maxpool_raw_matches_oracle(rng, dtype, k, stride, h, w):
+    x = rng.normal(size=(2, 3, h, w)).astype(dtype)
+    got = nn.maxpool_raw(x, k, stride)
+    want = maxpool_oracle(x, k, stride)
+    assert got.dtype == dtype
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
+    assert np.array_equal(got, nn.maxpool_forward(x, k, stride)[0])
+
+
 def test_stride1_pool_keeps_size(rng):
     x = rng.normal(size=(1, 2, 13, 13))
     for k in (5, 9, 13):
@@ -91,6 +105,22 @@ def test_leaky_slope():
     x = np.array([[[[-2.0, 2.0]]]])
     y = nn.activate_raw(x, "leaky_relu")
     assert np.allclose(y, [[[[-0.2, 2.0]]]])
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_leaky_relu_bits_match_where_formula(rng, dtype):
+    # activate_raw takes max(x, alpha*x); the formula it replaced is pinned
+    # here bit for bit, signed zeros, NaN, infinities and subnormals included
+    tiny = np.finfo(dtype).smallest_subnormal
+    special = np.array([-0.0, 0.0, np.nan, -np.nan, np.inf, -np.inf,
+                        tiny, -tiny, 1.0, -1.0], dtype=dtype)
+    x = np.concatenate([special, (rng.normal(size=990) * 10.0 ** rng.integers(
+        -30, 30, size=990)).astype(dtype)])
+    for alpha in (0.1, 0.5, 0.999):
+        old = np.where(x > 0, x, alpha * x)
+        new = nn.activate_raw(x, "leaky_relu", alpha)
+        assert new.dtype == old.dtype
+        assert new.tobytes() == old.tobytes()
 
 
 def test_batchnorm_infer_is_affine(rng):
