@@ -8,8 +8,8 @@ plus live wire protocol for edge/cloud cooperative deployment.
 from .anchors import AnchorSet, kmeans_anchors
 from .analyzer import CostReport, analyze, diff_golden, render_text
 from .netdef import (ConfigError, NetGraph, WeightsError, build_edge_yolo,
-                     edge_yolo_config, forward, load_config, load_weights,
-                     parse_config, save_weights)
+                     forward, load_config, load_weights, parse_config,
+                     save_weights)
 from .nn import ShapeError, Tensor
 from .postprocess import (Box, Detection, SoftNmsConfig, ciou_loss, decode,
                           evaluate, iou, soft_nms)
@@ -24,8 +24,8 @@ __all__ = [
     "NetGraph", "OptimizerConfig", "ShapeError", "SoftNmsConfig",
     "Tensor", "ToyScenario", "TrainResult", "WeightsError", "analyze",
     "assign_targets", "backward_and_step", "build_edge_yolo", "ciou_loss",
-    "decode", "detect_image", "diff_golden", "edge_yolo_config", "evaluate",
-    "forward", "generate_toy_dataset", "iou", "kmeans_anchors",
+    "decode", "detect_image", "diff_golden", "evaluate", "forward",
+    "generate_toy_dataset", "iou", "kmeans_anchors",
     "load_config", "load_weights", "parse_config", "render_text",
     "save_weights", "soft_nms", "total_loss", "train_toy",
 ]

@@ -26,10 +26,9 @@ from . import analyzer, images, netdef, nn
 from .anchors import AnchorSet, kmeans_anchors
 from .edgecloud import live, protocol
 from .edgecloud.sim import EDGE_PROFILES, NetworkModel, Scenario, run_sim
-from .postprocess import SoftNmsConfig, decode, soft_nms
-from .training import ToyScenario, TrainingDivergedError, train_toy
-
-_PRESET_DIR = Path(__file__).parent / "presets"
+from .postprocess import SoftNmsConfig
+from .training import (ToyScenario, TrainingDivergedError, detect_image,
+                       train_toy)
 
 
 def _fail(msg: str) -> int:
@@ -67,18 +66,16 @@ def _add_model_flags(p: argparse.ArgumentParser, need_weights: bool) -> None:
 # ---------------------------------------------------------------------------
 
 def cmd_detect(args) -> int:
-    anchors_path = args.anchors or str(_PRESET_DIR / "anchors-416.txt")
+    anchors_path = args.anchors or str(netdef.PRESET_DIR / "anchors-416.txt")
     try:
         g = _load_graph(args.config, args.weights, anchors_path,
                         args.classes, args.anchors_per_scale)
+        nms = SoftNmsConfig(sigma=args.sigma, t_nms=args.t_nms,
+                            score_floor=args.score_floor)
     except (OSError, netdef.ConfigError, netdef.WeightsError, ValueError) as e:
         return _fail(str(e))
     if not args.images:
         return _fail("no input images given")
-    nms = SoftNmsConfig(sigma=args.sigma, t_nms=args.t_nms,
-                        score_floor=args.score_floor)
-    in_w, in_h, _ = g.input_shape
-    n_heads = len(g.head_layers())
     wrote = 0
     out = open(args.out, "w") if args.out else sys.stdout
     try:
@@ -88,13 +85,7 @@ def cmd_detect(args) -> int:
             except (OSError, images.ImageError) as e:
                 print(f"warning: skipping {name}: {e}", file=sys.stderr)
                 continue
-            boxed, tf = images.letterbox(img, in_w)
-            heads = netdef.forward(g, nn.Tensor(boxed[None]))
-            dets = []
-            for head in heads:
-                anc = g.anchors.for_scale_index(head.scale_index, n_heads)
-                dets.extend(decode(head, anc, in_w, in_h, args.score_floor))
-            dets = images.map_detections_to_source(soft_nms(dets, nms), tf)
+            dets = detect_image(g, img, args.score_floor, nms)
             for d in dets:
                 out.write(json.dumps({
                     "image": name, "class": d.class_id,

@@ -84,11 +84,9 @@ class Transport:
 class EdgeNode:
     """Runs local detection, uploads frames, applies pushed weights."""
 
-    def __init__(self, graph: NetGraph, version: int = 1,
-                 score_floor: float = 0.05):
+    def __init__(self, graph: NetGraph):
         self.graph = graph
-        self.version = version
-        self.score_floor = score_floor
+        self.version = 1
         self.log: list[str] = []
 
     def handle_push(self, msg: Message) -> bool:
@@ -114,7 +112,8 @@ class EdgeNode:
         """Detect and upload every frame; returns the local detections."""
         results = []
         for img, gts in frames:
-            results.append(detect_image(self.graph, img, self.score_floor))
+            results.append(detect_image(self.graph, img,
+                                        ToyScenario.decode_floor))
             transport.send(Message(protocol.FRAME_UPLOAD, self.version,
                                    pack_frame(img, gts)))
             reply = transport.recv()
@@ -131,15 +130,13 @@ class EdgeNode:
 class CloudNode:
     """Buffers uploads, periodically fine-tunes, answers detect requests."""
 
-    def __init__(self, graph: NetGraph, version: int = 1, retrain_every: int = 5,
-                 retrain_steps: int = 3, eta: float = 5e-4,
-                 score_floor: float = 0.05):
+    def __init__(self, graph: NetGraph, retrain_every: int = 5,
+                 retrain_steps: int = 3):
         self.graph = graph
-        self.version = version
+        self.version = 1
         self.retrain_every = retrain_every
         self.retrain_steps = retrain_steps
-        self.opt = OptimizerConfig(eta=eta)
-        self.score_floor = score_floor
+        self.opt = OptimizerConfig(eta=5e-4)
         self.buffer: list[tuple[np.ndarray, list[tuple[Box, int]]]] = []
         self.log: list[str] = []
 
@@ -174,7 +171,7 @@ class CloudNode:
             return Message(protocol.ACK, self.version)
         if msg.msg_type == protocol.DETECT_REQUEST:
             img, _ = unpack_frame(msg.payload)
-            dets = detect_image(self.graph, img, self.score_floor)
+            dets = detect_image(self.graph, img, ToyScenario.decode_floor)
             return Message(protocol.DETECT_RESULT, self.version,
                            detections_to_json(dets))
         self.log.append(f"ignoring message type {msg.msg_type}")

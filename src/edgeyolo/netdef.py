@@ -415,83 +415,17 @@ def load_config(path: str | Path) -> NetGraph:
 # the shipped 416 detector
 # ---------------------------------------------------------------------------
 
-def edge_yolo_config(num_classes: int = 80, anchors_per_scale: int = 6,
-                     input_size: int = 416) -> str:
-    """Config text for the pruned-CSP detector with SPP and three heads."""
-    f = anchors_per_scale * (5 + num_classes)
-    body = [
-        "conv 3x3/2 32",            # 0
-        "conv 3x3/2 64",            # 1
-        "conv 3x3/1 64",            # 2
-        "route 2 split 1",          # 3   CSP half
-        "conv 3x3/1 32",            # 4
-        "conv 3x3/1 32",            # 5
-        "route 5 4",                # 6
-        "conv 1x1/1 64",            # 7
-        "route 2 7",                # 8   CSP merge
-        "max 2x2/2",                # 9
-        "conv 1x1/1 128",           # 10
-        "max 5x5/1",                # 11  SPP
-        "route 10",                 # 12
-        "max 9x9/1",                # 13
-        "route 10",                 # 14
-        "max 13x13/1",              # 15
-        "route 15 13 11 10",        # 16  SPP merge
-        "conv 1x1/1 256",           # 17
-        "conv 3x3/1 128",           # 18
-        "route 18 split 1",         # 19  CSP half
-        "conv 3x3/1 64",            # 20
-        "conv 3x3/1 64",            # 21
-        "route 21 20",              # 22
-        "conv 1x1/1 128",           # 23
-        "route 18 23",              # 24  CSP merge
-        "max 2x2/2",                # 25
-        "conv 1x1/1 128",           # 26
-        "conv 3x3/1 256",           # 27
-        "route 27 split 1",         # 28  CSP half
-        "conv 3x3/1 128",           # 29
-        "conv 3x3/1 128",           # 30
-        "route 30 29",              # 31
-        "conv 1x1/1 256",           # 32
-        "route 32 27",              # 33  CSP merge
-        "max 2x2/2",                # 34
-        "conv 3x3/1 1024",          # 35  coarse head stem
-        f"conv 1x1/1 {f} linear",   # 36
-        "head 0",                   # 37
-        "route 34",                 # 38
-        "conv 1x1/1 128",           # 39
-        "upsample",                 # 40
-        "route 40 33",              # 41
-        "conv 1x1/1 256",           # 42
-        "conv 3x3/1 512",           # 43  mid head stem
-        f"conv 1x1/1 {f} linear",   # 44
-        "head 1",                   # 45
-        "route 42",                 # 46
-        "conv 1x1/1 128",           # 47
-        "upsample",                 # 48
-        "route 48 24",              # 49
-        "conv 1x1/1 128",           # 50
-        "conv 3x3/1 256",           # 51  fine head stem
-        f"conv 1x1/1 {f} linear",   # 52
-        "head 2",                   # 53
-    ]
-    return f"net {input_size} {input_size} 3\n" + "\n".join(body) + "\n"
+PRESET_DIR = Path(__file__).parent / "presets"
 
 
-def build_edge_yolo(num_classes: int = 80, anchors=None,
-                    anchors_per_scale: int = 6) -> NetGraph:
-    """Assemble the 416x416 three-scale detector graph.
+def build_edge_yolo() -> NetGraph:
+    """The 416x416 three-scale detector, parsed from presets/edge-yolo-416.net.
 
-    Anchors are optional here; detection post-processing needs them, the
-    static analyzer and forward pass do not.
+    Its heads assume 80 classes and 6 anchors per scale. No anchors are
+    attached: the static analyzer and forward pass do not need them,
+    detection post-processing does (presets/anchors-416.txt).
     """
-    g = parse_config(edge_yolo_config(num_classes, anchors_per_scale))
-    if anchors is not None:
-        g.attach_detection_meta(num_classes, anchors, anchors_per_scale)
-    else:
-        g.num_classes = num_classes
-        g.anchors_per_scale = anchors_per_scale
-    return g
+    return load_config(PRESET_DIR / "edge-yolo-416.net")
 
 
 # ---------------------------------------------------------------------------

@@ -9,12 +9,9 @@ bitwise-identical outputs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-
-ACTIVATIONS = ("linear", "leaky_relu", "relu", "mish")
 
 
 class ShapeError(ValueError):
@@ -60,44 +57,6 @@ class Tensor:
 
     def __repr__(self) -> str:
         return f"Tensor{self.data.shape} dtype={self.data.dtype}"
-
-
-@dataclass
-class ConvParams:
-    """Weights for a square same-padded convolution.
-
-    weights has shape (filters, in_channels, kernel, kernel); bias (filters,).
-    """
-
-    weights: np.ndarray
-    bias: np.ndarray
-    stride: int = 1
-
-    def __post_init__(self):
-        w = np.asarray(self.weights)
-        b = np.asarray(self.bias)
-        if w.ndim != 4 or w.shape[2] != w.shape[3]:
-            raise ShapeError(f"conv weights must be (out,in,k,k), got {w.shape}")
-        if w.shape[2] % 2 == 0:
-            raise ShapeError(f"conv kernel must be odd for same padding, got {w.shape[2]}")
-        if self.stride not in (1, 2):
-            raise ShapeError(f"conv stride must be 1 or 2, got {self.stride}")
-        if b.shape != (w.shape[0],):
-            raise ShapeError(f"bias shape {b.shape} does not match {w.shape[0]} filters")
-        self.weights = w
-        self.bias = b
-
-    @property
-    def filters(self) -> int:
-        return self.weights.shape[0]
-
-    @property
-    def in_channels(self) -> int:
-        return self.weights.shape[1]
-
-    @property
-    def kernel(self) -> int:
-        return self.weights.shape[2]
 
 
 def conv_out_size(size: int, kernel: int, stride: int) -> int:
@@ -202,11 +161,6 @@ def activate_raw(x: np.ndarray, kind: str, alpha: float = 0.1) -> np.ndarray:
         if not 0.0 < alpha < 1.0:
             raise ValueError(f"leaky slope must be in (0,1), got {alpha}")
         return np.maximum(x, alpha * x)   # bitwise where(x > 0, x, alpha * x)
-    if kind == "relu":
-        return np.maximum(x, 0)
-    if kind == "mish":
-        sp = np.logaddexp(0.0, x)  # softplus, overflow-safe
-        return x * np.tanh(sp)
     raise ValueError(f"unknown activation {kind!r}")
 
 
@@ -215,13 +169,6 @@ def activate_backward(dy: np.ndarray, x: np.ndarray, kind: str, alpha: float = 0
         return dy
     if kind == "leaky_relu":
         return dy * np.where(x > 0, 1.0, alpha)
-    if kind == "relu":
-        return dy * (x > 0)
-    if kind == "mish":
-        sp = np.logaddexp(0.0, x)
-        t = np.tanh(sp)
-        sig = 1.0 / (1.0 + np.exp(-x))
-        return dy * (t + x * (1.0 - t * t) * sig)
     raise ValueError(f"unknown activation {kind!r}")
 
 

@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from . import nn, netdef
+from . import images, nn, netdef
 from .anchors import AnchorSet, kmeans_anchors
 from .netdef import HeadOutput, NetGraph, parse_config
 from .postprocess import (Box, Detection, SoftNmsConfig, ciou_loss_grad, decode,
@@ -547,14 +547,20 @@ class TrainResult:
 
 def detect_image(g: NetGraph, img: np.ndarray, score_floor: float,
                  nms: SoftNmsConfig = SoftNmsConfig()) -> list[Detection]:
-    """Forward one CHW image and run the full decode + suppression chain."""
-    heads = netdef.forward(g, nn.Tensor(img[None]))
-    w, h, _ = g.input_shape
+    """The detect pipeline: letterbox -> forward -> decode -> soft-NMS -> map back.
+
+    img is a float32 CHW array in [0, 1] of any size; the returned boxes are
+    in its pixels. The graph needs anchors attached. A frame already at the
+    input size passes through the letterbox and the map back unchanged.
+    """
+    size = g.input_shape[0]
+    boxed, tf = images.letterbox(img, size)
+    heads = netdef.forward(g, nn.Tensor(boxed[None]))
     dets: list[Detection] = []
     for head in heads:
         anchors = g.anchors.for_scale_index(head.scale_index, len(heads))
-        dets.extend(decode(head, anchors, w, h, score_floor))
-    return soft_nms(dets, nms)
+        dets.extend(decode(head, anchors, size, size, score_floor))
+    return images.map_detections_to_source(soft_nms(dets, nms), tf)
 
 
 def evaluate_toy(g: NetGraph, dataset, score_floor: float = 0.05,

@@ -112,6 +112,14 @@ def test_detect_no_images(mini, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("flag,value", [("--sigma", "0"), ("--t-nms", "2"),
+                                        ("--score-floor", "-1")])
+def test_detect_rejects_bad_nms_settings(mini, capsys, flag, value):
+    rc = cli.main(["detect", *_model_flags(mini), flag, value, mini["img"]])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 # ---------------------------------------------------------------------------
 # bench
 # ---------------------------------------------------------------------------

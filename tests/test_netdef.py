@@ -10,8 +10,7 @@ from edgeyolo import netdef, nn
 from edgeyolo.netdef import (BadMagicError, ConfigError, NetGraph,
                              SignatureMismatchError, TruncatedWeightsError,
                              VersionMismatchError, build_edge_yolo,
-                             edge_yolo_config, load_weights, parse_config,
-                             save_weights)
+                             load_weights, parse_config, save_weights)
 
 TINY = """\
 net 16 16 3

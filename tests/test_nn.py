@@ -94,13 +94,6 @@ def test_upsample_exact():
         [1, 1, 2, 2], [1, 1, 2, 2], [3, 3, 4, 4], [3, 3, 4, 4]], dtype=float))
 
 
-def test_mish_against_reference(rng):
-    x = rng.normal(size=(1, 1, 4, 4)) * 3
-    y = nn.activate_raw(x, "mish")
-    want = x * np.tanh(np.log1p(np.exp(x)))
-    assert rel_err(y, want) < 1e-9
-
-
 def test_leaky_slope():
     x = np.array([[[[-2.0, 2.0]]]])
     y = nn.activate_raw(x, "leaky_relu")
@@ -176,15 +169,6 @@ def test_tensor_rejects_zero_dim():
         nn.Tensor(np.zeros((1, 0, 3, 3)))
 
 
-def test_conv_params_validation(rng):
-    with pytest.raises(ValueError):
-        nn.ConvParams(weights=rng.normal(size=(1, 1, 2, 2)),
-                      bias=np.zeros(1), stride=1)     # even kernel
-    with pytest.raises(ValueError):
-        nn.ConvParams(weights=rng.normal(size=(1, 1, 3, 3)),
-                      bias=np.zeros(1), stride=3)     # unsupported stride
-
-
 def test_conv_channel_mismatch(rng):
     x = rng.normal(size=(1, 3, 4, 4))
     w = rng.normal(size=(2, 4, 3, 3))
@@ -246,10 +230,10 @@ def test_batchnorm_train_gradients(rng):
     assert rel_err(dbeta, central_diff(loss, beta)) < 1e-3
 
 
-@pytest.mark.parametrize("kind", ["linear", "leaky_relu", "relu", "mish"])
+@pytest.mark.parametrize("kind", ["linear", "leaky_relu"])
 def test_activation_gradients(rng, kind):
     x = rng.normal(size=(2, 2, 3, 3))
-    x[np.abs(x) < 0.05] += 0.2          # keep away from relu/leaky kinks
+    x[np.abs(x) < 0.05] += 0.2          # keep away from the leaky kink
     dy = rng.normal(size=x.shape)
     dx = nn.activate_backward(dy, x, kind)
     loss = lambda: float((nn.activate_raw(x, kind) * dy).sum())

@@ -5,14 +5,14 @@ import math
 import numpy as np
 import pytest
 
-from edgeyolo import nn, netdef
+from edgeyolo import images, nn, netdef
 from edgeyolo.anchors import AnchorSet
 from edgeyolo.netdef import HeadOutput, parse_config
-from edgeyolo.postprocess import Box, ciou_loss
+from edgeyolo.postprocess import Box, SoftNmsConfig, ciou_loss, decode, soft_nms
 from edgeyolo.training import (OptimizerConfig, ToyScenario,
                                TrainingDivergedError, assign_targets,
-                               backward_and_step, graph_backward, total_loss,
-                               train_toy)
+                               backward_and_step, detect_image, graph_backward,
+                               total_loss, train_toy)
 
 
 def _anchor_set(pairs, input_size=416):
@@ -562,3 +562,58 @@ def test_divergence_aborts_with_history():
     with pytest.raises(TrainingDivergedError) as exc:
         train_toy(sc)
     assert isinstance(exc.value.history, list)
+
+
+# ---------------------------------------------------------------------------
+# the detect pipeline
+# ---------------------------------------------------------------------------
+
+DETECT_FLOOR = 0.001
+
+
+def _detect_graph():
+    """32 px, one 8x8 head, two anchors x (5 + 2 classes), random weights."""
+    g = parse_config("net 32 32 3\n"
+                     "conv 3x3/2 8\n"
+                     "conv 3x3/2 8\n"
+                     "conv 1x1/1 14 linear\n"
+                     "head 0\n")
+    g.attach_detection_meta(2, _anchor_set([(6, 6), (12, 10)], 32), 2)
+    g.init_random(0)
+    return g
+
+
+def _candidates(g, canvas):
+    heads = netdef.forward(g, nn.Tensor(canvas[None]))
+    return [d for head in heads
+            for d in decode(head, g.anchors.for_scale_index(0, 1), 32, 32,
+                            DETECT_FLOOR)]
+
+
+def _bits(dets):
+    return np.array([(d.box.cx, d.box.cy, d.box.w, d.box.h, d.score,
+                      d.class_id) for d in dets]).tobytes()
+
+
+def test_detect_image_letterboxes_and_maps_back_to_source_pixels(rng):
+    g = _detect_graph()
+    img = rng.random((3, 28, 40), dtype=np.float32)
+    got = detect_image(g, img, DETECT_FLOOR)
+    boxed, tf = images.letterbox(img, 32)
+    kept = soft_nms(_candidates(g, boxed), SoftNmsConfig())
+    want = images.map_detections_to_source(kept, tf)
+    assert len(got) > 0
+    assert _bits(got) == _bits(want)
+    assert tf.scale == 0.8 and tf.pad_y == 5.0   # 40x28 -> 32x22, 5 px bands
+    for d, k in zip(got, kept):
+        assert d.box.cx == pytest.approx(k.box.cx / 0.8)
+        assert d.box.cy == pytest.approx((k.box.cy - 5.0) / 0.8)
+
+
+def test_detect_image_at_input_size_skips_nothing_and_changes_nothing(rng):
+    g = _detect_graph()
+    img = rng.random((3, 32, 32), dtype=np.float32)
+    want = soft_nms(_candidates(g, img), SoftNmsConfig())
+    got = detect_image(g, img, DETECT_FLOOR)
+    assert len(got) > 0
+    assert _bits(got) == _bits(want)
