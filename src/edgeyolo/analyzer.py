@@ -8,7 +8,6 @@ a max pool costs K^2*C*Hout*Wout comparisons, both reported in units of 1e9
 from __future__ import annotations
 
 import csv
-import io
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -99,31 +98,24 @@ def render_text(report: CostReport) -> str:
     return "\n".join(lines)
 
 
-def write_csv(report: CostReport, sink: str | Path | io.TextIOBase) -> None:
+def write_csv(report: CostReport, path: str | Path) -> None:
     """Machine-readable per-layer costs; same columns the golden differ reads."""
-    own = isinstance(sink, (str, Path))
-    fh = open(sink, "w", newline="") if own else sink
-    try:
+    with open(path, "w", newline="") as fh:
         wr = csv.writer(fh)
         wr.writerow(_GOLDEN_COLUMNS + ("params",))
         for r in report.layers:
             wr.writerow([r.index, r.kind, r.size, r.stride, r.filters,
                          r.out_c, r.out_h, r.out_w, f"{r.bflops:.6f}", r.params])
-    finally:
-        if own:
-            fh.close()
 
 
-def read_golden(source: str | Path | io.TextIOBase) -> list[dict]:
+def read_golden(path: str | Path) -> list[dict]:
     """Read a golden layer table CSV.
 
     Blank cells mean "do not compare this field". An optional `note` column
     valued `known-discrepancy` marks rows whose mismatches are expected.
     """
-    own = isinstance(source, (str, Path))
-    fh = open(source, newline="") if own else source
-    try:
-        rows = []
+    rows = []
+    with open(path, newline="") as fh:
         for rec in csv.DictReader(fh):
             row: dict = {"note": (rec.get("note") or "").strip()}
             for col in _GOLDEN_COLUMNS:
@@ -139,13 +131,10 @@ def read_golden(source: str | Path | io.TextIOBase) -> list[dict]:
             if row["index"] is None:
                 raise ValueError("golden row is missing its layer index")
             rows.append(row)
-        return rows
-    finally:
-        if own:
-            fh.close()
+    return rows
 
 
-def diff_golden(report: CostReport, golden: str | Path | io.TextIOBase | list[dict],
+def diff_golden(report: CostReport, golden: str | Path | list[dict],
                 bflops_tol: float = BFLOPS_TOL) -> list[GoldenMismatch]:
     """Compare a cost report against a golden table row by row.
 

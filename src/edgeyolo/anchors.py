@@ -7,6 +7,9 @@ from pathlib import Path
 
 import numpy as np
 
+MAX_ITER = 300      # Lloyd iterations per run; runs stop earlier once stable
+N_INIT = 10         # independent seedings, the lowest-distortion run is kept
+
 
 @dataclass(frozen=True)
 class AnchorSet:
@@ -79,7 +82,7 @@ def distortion(pairs, centroids) -> float:
     return float(d2.min(axis=1).sum())
 
 
-def _iou_wh(pairs: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+def iou_wh(pairs: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     """Pairwise IoU of (w, h) extents anchored at a common corner."""
     iw = np.minimum(pairs[:, None, 0], centroids[None, :, 0])
     ih = np.minimum(pairs[:, None, 1], centroids[None, :, 1])
@@ -108,17 +111,17 @@ def _seed_plusplus(norm: np.ndarray, k: int, rng: np.random.Generator,
     return norm[chosen].copy()
 
 
-def kmeans_anchors(pairs, k: int, seed: int = 0, max_iter: int = 300,
-                   input_size: int = 416, metric: str = "euclid",
-                   return_history: bool = False, n_init: int = 10):
+def kmeans_anchors(pairs, k: int, seed: int = 0, input_size: int = 416,
+                   metric: str = "euclid", return_history: bool = False):
     """Cluster (w, h) box extents into k anchors.
 
     pairs are pixel extents at the network input resolution; clustering runs
     on extents normalized by input_size. Assignment uses squared Euclidean
     distance (or 1 - IoU with metric="iou"), centroids move to the arithmetic
-    mean, and iteration stops when no centroid moves. A cluster left empty is
-    reseeded from the point farthest from its centroid. n_init independent
-    D²-seeded runs are performed and the lowest-distortion result kept.
+    mean, and iteration stops when no centroid moves (or after MAX_ITER
+    steps). A cluster left empty is reseeded from the point farthest from
+    its centroid. N_INIT independent D²-seeded runs are performed and the
+    lowest-distortion result kept.
 
     Returns an AnchorSet (and the winning run's per-iteration distortion
     history when return_history is set).
@@ -133,21 +136,19 @@ def kmeans_anchors(pairs, k: int, seed: int = 0, max_iter: int = 300,
         raise ValueError("box extents must be strictly positive")
     if metric not in ("euclid", "iou"):
         raise ValueError(f"metric must be 'euclid' or 'iou', got {metric!r}")
-    if n_init < 1:
-        raise ValueError("n_init must be at least 1")
 
     norm = pts / float(input_size)
     rng = np.random.default_rng(seed)
 
     def dist2(points, cents):
         if metric == "iou":
-            return 1.0 - _iou_wh(points, cents)
+            return 1.0 - iou_wh(points, cents)
         return ((points[:, None, :] - cents[None, :, :]) ** 2).sum(axis=2)
 
     def one_run(centroids):
         history: list[float] = []
         prev = None
-        for _ in range(max_iter):
+        for _ in range(MAX_ITER):
             d2 = dist2(norm, centroids)
             assign = d2.argmin(axis=1)
             new = centroids.copy()
@@ -178,7 +179,7 @@ def kmeans_anchors(pairs, k: int, seed: int = 0, max_iter: int = 300,
         return centroids, history
 
     best_c, best_h = None, None
-    for _ in range(n_init):
+    for _ in range(N_INIT):
         cand_c, cand_h = one_run(_seed_plusplus(norm, k, rng, dist2))
         if best_h is None or cand_h[-1] < best_h[-1] - 1e-15:
             best_c, best_h = cand_c, cand_h

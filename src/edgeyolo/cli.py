@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import socket
 import statistics
@@ -24,7 +23,7 @@ import numpy as np
 
 from . import analyzer, images, netdef, nn
 from .anchors import AnchorSet, kmeans_anchors
-from .edgecloud import live, protocol
+from .edgecloud import live
 from .edgecloud.sim import EDGE_PROFILES, NetworkModel, Scenario, run_sim
 from .postprocess import SoftNmsConfig
 from .training import (ToyScenario, TrainingDivergedError, detect_image,
@@ -36,29 +35,20 @@ def _fail(msg: str) -> int:
     return 1
 
 
-def _load_graph(config: str, weights: str | None,
-                anchors_path: str | None, num_classes: int,
-                anchors_per_scale: int) -> netdef.NetGraph:
+def _load_graph(config: str, weights: str, anchors_path: str) -> netdef.NetGraph:
+    """Config, anchors and weights. Anchors per scale follow from the anchor
+    and head counts, the class count from the head channels."""
     g = netdef.load_config(config)
-    if anchors_path:
-        anchors = AnchorSet.from_file(anchors_path,
-                                      input_size=g.input_shape[0])
-        g.attach_detection_meta(num_classes, anchors, anchors_per_scale)
-    if weights:
-        netdef.load_weights(g, weights)
-    return g
-
-
-def _add_model_flags(p: argparse.ArgumentParser, need_weights: bool) -> None:
-    p.add_argument("--config", required=True, help="network config file")
-    p.add_argument("--weights", required=need_weights,
-                   default=None, help="weight blob produced by this tool")
-    p.add_argument("--anchors", default=None,
-                   help="anchor text file (default: preset 416 anchors)")
-    p.add_argument("--classes", type=int, default=80,
-                   help="object class count (default 80)")
-    p.add_argument("--anchors-per-scale", type=int, default=6,
-                   help="anchors per head scale (default 6)")
+    anchors = AnchorSet.from_file(anchors_path, input_size=g.input_shape[0])
+    heads = g.head_layers()
+    if not heads or len(anchors) % len(heads):
+        raise ValueError(f"{len(anchors)} anchors do not divide among "
+                         f"{len(heads)} detection heads")
+    per_scale = len(anchors) // len(heads)
+    # attach_detection_meta checks every head against the derived counts
+    g.attach_detection_meta(g.out_shapes[heads[0].index][0] // per_scale - 5,
+                            anchors, per_scale)
+    return netdef.load_weights(g, weights)
 
 
 # ---------------------------------------------------------------------------
@@ -68,8 +58,7 @@ def _add_model_flags(p: argparse.ArgumentParser, need_weights: bool) -> None:
 def cmd_detect(args) -> int:
     anchors_path = args.anchors or str(netdef.PRESET_DIR / "anchors-416.txt")
     try:
-        g = _load_graph(args.config, args.weights, anchors_path,
-                        args.classes, args.anchors_per_scale)
+        g = _load_graph(args.config, args.weights, anchors_path)
         nms = SoftNmsConfig(sigma=args.sigma, t_nms=args.t_nms,
                             score_floor=args.score_floor)
     except (OSError, netdef.ConfigError, netdef.WeightsError, ValueError) as e:
@@ -357,7 +346,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="cmd", required=True)
 
     d = sub.add_parser("detect", help="run detection on images")
-    _add_model_flags(d, need_weights=True)
+    d.add_argument("--config", required=True, help="network config file")
+    d.add_argument("--weights", required=True,
+                   help="weight blob produced by this tool")
+    d.add_argument("--anchors", default=None,
+                   help="anchor text file (default: preset 416 anchors)")
     d.add_argument("images", nargs="*", help="input images (.ppm, .png)")
     d.add_argument("--score-floor", type=float, default=0.001,
                    help="discard detections below this score (default 0.001)")

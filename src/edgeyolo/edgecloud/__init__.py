@@ -2,17 +2,18 @@
 
 from .protocol import (ACK, DETECT_REQUEST, DETECT_RESULT, FRAME_UPLOAD,
                        WEIGHT_PUSH, BadMagicError, ChecksumError, Message,
-                       ProtocolError, TruncatedFrameError, UnknownTypeError,
-                       decode_message, encode_message, read_message)
+                       OversizeFrameError, ProtocolError, TruncatedFrameError,
+                       UnknownTypeError, decode_message, encode_message,
+                       read_message)
 from .sim import (NANO_INFER_S, XAVIER_INFER_S, NetworkModel, Scenario,
                   SimResult, TraceEvent, crossover_frame, run_sim)
 from .live import CloudNode, EdgeNode, demo_setup, run_loopback
 
 __all__ = [
     "ACK", "DETECT_REQUEST", "DETECT_RESULT", "FRAME_UPLOAD", "WEIGHT_PUSH",
-    "BadMagicError", "ChecksumError", "Message", "ProtocolError",
-    "TruncatedFrameError", "UnknownTypeError", "decode_message",
-    "encode_message", "read_message",
+    "BadMagicError", "ChecksumError", "Message", "OversizeFrameError",
+    "ProtocolError", "TruncatedFrameError", "UnknownTypeError",
+    "decode_message", "encode_message", "read_message",
     "NANO_INFER_S", "XAVIER_INFER_S", "NetworkModel", "Scenario", "SimResult",
     "TraceEvent", "crossover_frame", "run_sim",
     "CloudNode", "EdgeNode", "demo_setup", "run_loopback",

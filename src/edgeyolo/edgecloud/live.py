@@ -7,31 +7,33 @@ or a WEIGHT_PUSH carrying a full weight blob. The cloud buffers uploads and
 fine-tunes after every `retrain_every` frames, bumping its model version.
 
 FRAME_UPLOAD payload: u16 height, u16 width, u8 channels, u16 gt count,
-then h*w*c bytes of u8 pixels, then per gt (u32 class, 4 x f32 box),
+then h*w*c bytes of u8 pixels, then per gt (4 x f32 box, u32 class),
 little-endian. Demo frames carry their programmatic labels with them.
 """
 
 from __future__ import annotations
 
 import io
-import json
 import socket
 import struct
 
 import numpy as np
 
 from .. import netdef, nn
-from ..anchors import kmeans_anchors
 from ..netdef import NetGraph, WeightsError, load_weights, save_weights
 from ..postprocess import Box, Detection
 from ..training import (OptimizerConfig, ToyScenario, assign_targets,
                         backward_and_step, detect_image, generate_toy_dataset,
-                        toy_config)
+                        toy_graph)
 from . import protocol
 from .protocol import Message
 
 _FRAME_HEAD = struct.Struct("<HHBH")
 _GT = struct.Struct("<ffffI")   # cx, cy, w, h, class
+
+
+class MalformedUploadError(protocol.ProtocolError):
+    """A FRAME_UPLOAD payload whose size does not match its own header."""
 
 
 def pack_frame(img: np.ndarray, gts: list[tuple[Box, int]]) -> bytes:
@@ -44,7 +46,14 @@ def pack_frame(img: np.ndarray, gts: list[tuple[Box, int]]) -> bytes:
 
 
 def unpack_frame(payload: bytes) -> tuple[np.ndarray, list[tuple[Box, int]]]:
+    if len(payload) < _FRAME_HEAD.size:
+        raise MalformedUploadError(f"{len(payload)}-byte upload is shorter than "
+                                   f"its {_FRAME_HEAD.size}-byte header")
     h, w, c, n_gt = _FRAME_HEAD.unpack_from(payload, 0)
+    want = _FRAME_HEAD.size + h * w * c + n_gt * _GT.size
+    if len(payload) != want:
+        raise MalformedUploadError(f"a {h}x{w}x{c} upload with {n_gt} boxes takes "
+                                   f"{want} bytes, got {len(payload)}")
     off = _FRAME_HEAD.size
     pixels = np.frombuffer(payload, dtype=np.uint8, count=h * w * c, offset=off)
     img = pixels.reshape(c, h, w).astype(np.float32) / 255.0
@@ -55,12 +64,6 @@ def unpack_frame(payload: bytes) -> tuple[np.ndarray, list[tuple[Box, int]]]:
         off += _GT.size
         gts.append((Box(cx, cy, bw, bh), int(cls)))
     return img, gts
-
-
-def detections_to_json(dets: list[Detection]) -> bytes:
-    rows = [{"class": d.class_id, "score": d.score, "cx": d.box.cx,
-             "cy": d.box.cy, "w": d.box.w, "h": d.box.h} for d in dets]
-    return json.dumps(rows).encode("utf-8")
 
 
 class Transport:
@@ -128,7 +131,7 @@ class EdgeNode:
 
 
 class CloudNode:
-    """Buffers uploads, periodically fine-tunes, answers detect requests."""
+    """Buffers uploads and periodically fine-tunes on them."""
 
     def __init__(self, graph: NetGraph, retrain_every: int = 5,
                  retrain_steps: int = 3):
@@ -157,9 +160,27 @@ class CloudNode:
         self.log.append(f"retrained on {len(usable)} frames -> "
                         f"version {self.version}")
 
+    def _check_upload(self, img: np.ndarray, gts: list[tuple[Box, int]]) -> None:
+        """Raise ValueError unless _retrain can train on the frame."""
+        w, h, c = self.graph.input_shape
+        if img.shape != (c, h, w):
+            raise ValueError(f"frame shape {img.shape} is not the model's {(c, h, w)}")
+        if not np.all(np.isfinite([(b.cx, b.cy, b.w, b.h) for b, _ in gts])):
+            raise ValueError("a box has a non-finite coordinate")
+        # class range, positive extents, centers on the canvas, free slots
+        assign_targets(gts, self.graph.anchors, self.graph.head_grids(), (w, h),
+                       self.graph.num_classes)
+
     def handle(self, msg: Message) -> Message:
         if msg.msg_type == protocol.FRAME_UPLOAD:
-            self.buffer.append(unpack_frame(msg.payload))
+            try:
+                frame = unpack_frame(msg.payload)
+                self._check_upload(*frame)
+            except ValueError as err:       # MalformedUploadError included
+                # still answered, so the request/reply alternation holds
+                self.log.append(f"rejected upload: {err}")
+                return Message(protocol.ACK, self.version)
+            self.buffer.append(frame)
             if len(self.buffer) % self.retrain_every == 0:
                 before = self.version
                 self._retrain()
@@ -169,11 +190,6 @@ class CloudNode:
                     return Message(protocol.WEIGHT_PUSH, self.version,
                                    blob.getvalue())
             return Message(protocol.ACK, self.version)
-        if msg.msg_type == protocol.DETECT_REQUEST:
-            img, _ = unpack_frame(msg.payload)
-            dets = detect_image(self.graph, img, ToyScenario.decode_floor)
-            return Message(protocol.DETECT_RESULT, self.version,
-                           detections_to_json(dets))
         self.log.append(f"ignoring message type {msg.msg_type}")
         return Message(protocol.ACK, self.version)
 
@@ -181,6 +197,10 @@ class CloudNode:
         while True:
             try:
                 msg = transport.recv()
+            except (protocol.BadMagicError, protocol.OversizeFrameError) as err:
+                # frame boundaries are lost: nothing after this can be trusted
+                self.log.append(f"closing desynchronised stream: {err}")
+                return
             except protocol.ProtocolError as err:
                 self.log.append(f"dropping bad frame: {err}")
                 continue
@@ -189,19 +209,11 @@ class CloudNode:
             transport.send(self.handle(msg))
 
 
-def demo_setup(seed: int = 0, num_classes: int = 3,
-               img_size: int = 64) -> tuple[NetGraph, ToyScenario]:
+def demo_setup(seed: int = 0) -> tuple[NetGraph, ToyScenario]:
     """A deterministic slim graph both roles can reconstruct from the seed."""
-    sc = ToyScenario(seed=seed, num_classes=num_classes, img_size=img_size)
-    sample = generate_toy_dataset(seed * 1000 + 1, 64, img_size, num_classes)
-    wh = [(b.w, b.h) for _, gts in sample for b, _ in gts]
-    anchors = kmeans_anchors(wh, k=3 * sc.anchors_per_scale, seed=seed,
-                             input_size=img_size)
-    g = netdef.parse_config(toy_config(num_classes, sc.anchors_per_scale,
-                                       sc.width, img_size))
-    g.attach_detection_meta(num_classes, anchors, sc.anchors_per_scale)
-    g.init_random(seed)
-    return g, sc
+    sc = ToyScenario(seed=seed)
+    sample = generate_toy_dataset(seed * 1000 + 1, 64, sc.img_size, sc.num_classes)
+    return toy_graph(sc, sample), sc
 
 
 def run_loopback(n_frames: int = 10, seed: int = 0, retrain_every: int = 5,

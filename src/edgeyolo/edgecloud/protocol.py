@@ -31,7 +31,9 @@ ACK = 5
 _TYPES = frozenset((FRAME_UPLOAD, DETECT_REQUEST, DETECT_RESULT, WEIGHT_PUSH, ACK))
 _HEADER = struct.Struct("<4sBBII")
 _CRC = struct.Struct("<I")
-MAX_PAYLOAD = 0xFFFFFFFF
+# ample for a weight push (the 416 preset's blob is 34,964,476 bytes) and
+# small enough that a forged length cannot make a reader allocate gigabytes
+MAX_PAYLOAD = 64 << 20
 
 
 class ProtocolError(ValueError):
@@ -54,6 +56,10 @@ class UnknownTypeError(ProtocolError):
     pass
 
 
+class OversizeFrameError(ProtocolError):
+    """The header declares a payload above MAX_PAYLOAD."""
+
+
 class Reader(Protocol):
     def read(self, n: int) -> bytes: ...
 
@@ -70,7 +76,8 @@ class Message:
         if not 0 <= self.version <= 0xFFFFFFFF:
             raise ValueError(f"version must fit u32, got {self.version}")
         if len(self.payload) > MAX_PAYLOAD:
-            raise ValueError(f"payload of {len(self.payload)} bytes exceeds u32 length")
+            raise ValueError(f"payload of {len(self.payload)} bytes exceeds "
+                             f"MAX_PAYLOAD ({MAX_PAYLOAD})")
 
 
 def encode_message(msg: Message) -> bytes:
@@ -83,8 +90,7 @@ def decode_message(buf: bytes) -> Message:
     if len(buf) < _HEADER.size:
         raise TruncatedFrameError(f"{len(buf)} bytes is too short for a header")
     magic, msg_type, _, version, length = _HEADER.unpack_from(buf, 0)
-    if magic != MAGIC:
-        raise BadMagicError(f"bad magic {magic!r}")
+    _check_header(magic, length)
     if msg_type not in _TYPES:
         raise UnknownTypeError(f"unknown message type {msg_type}")
     end = _HEADER.size + length
@@ -98,6 +104,14 @@ def decode_message(buf: bytes) -> Message:
     if crc != zlib.crc32(payload):
         raise ChecksumError(f"payload crc {zlib.crc32(payload):#010x} != {crc:#010x}")
     return Message(msg_type, version, payload)
+
+
+def _check_header(magic: bytes, length: int) -> None:
+    if magic != MAGIC:
+        raise BadMagicError(f"bad magic {magic!r}")
+    if length > MAX_PAYLOAD:
+        raise OversizeFrameError(f"frame declares {length} payload bytes, above "
+                                 f"the {MAX_PAYLOAD}-byte cap")
 
 
 def _read_exact(reader: Reader, n: int, context: str) -> bytes:
@@ -119,7 +133,6 @@ def read_message(reader: Reader) -> Message | None:
         return None
     header = first + _read_exact(reader, _HEADER.size - 1, "the header")
     magic, msg_type, _, version, length = _HEADER.unpack(header)
-    if magic != MAGIC:
-        raise BadMagicError(f"bad magic {magic!r}")
+    _check_header(magic, length)
     rest = _read_exact(reader, length + _CRC.size, "the payload")
     return decode_message(header + rest)

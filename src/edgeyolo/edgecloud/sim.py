@@ -21,7 +21,7 @@ import heapq
 import io
 import random
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
 
@@ -173,7 +173,7 @@ def run_sim(sc: Scenario) -> SimResult:
     events: list[TraceEvent] = []
     delays: dict[int, float] = {}
     state = {"uploaded": 0, "version": 1, "retrained_at": 0, "retraining": False,
-             "pending_checks": 0, "captured": 0}
+             "captured": 0}
 
     def log(node: str, event: str, frame_id: int | None = None,
             delay_s: float | None = None) -> None:

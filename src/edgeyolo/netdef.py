@@ -21,9 +21,9 @@ from __future__ import annotations
 
 import io
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import BinaryIO, Iterable
+from typing import BinaryIO
 
 import numpy as np
 
@@ -36,6 +36,9 @@ _HEADER = struct.Struct("<4sIIQ")  # magic, format version, layer count, graph s
 
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
+
+# share of the old running batch-norm estimate kept at each training step
+BN_MOMENTUM = 0.9
 
 
 class ConfigError(ValueError):
@@ -401,10 +404,7 @@ def parse_config(text: str) -> NetGraph:
             raise ConfigError(f"unknown directive {word!r}", line=line_no)
     if header is None:
         raise ConfigError("config has no 'net' header")
-    try:
-        return NetGraph(header, specs)
-    except ConfigError:
-        raise
+    return NetGraph(header, specs)
 
 
 def load_config(path: str | Path) -> NetGraph:
@@ -432,17 +432,16 @@ def build_edge_yolo() -> NetGraph:
 # execution
 # ---------------------------------------------------------------------------
 
-def forward_trace(g: NetGraph, x: Tensor, train: bool = False,
-                  bn_momentum: float = 0.9):
+def forward_trace(g: NetGraph, x: Tensor, train: bool = False):
     """Run the graph keeping every intermediate; returns (outputs, caches, heads).
 
-    Keeps what graph_backward reads: every layer output, each conv's input,
-    batch-norm and activation inputs, each pool's argmax (maxpool_forward)
-    and each concat's channel split. With train=True batch norm uses batch
-    statistics and folds them into the running estimates with the given
-    momentum.
+    Keeps what graph_backward reads besides x and the graph's shapes: every
+    layer output (so each layer's input), batch-norm and activation inputs
+    and each pool's argmax (maxpool_forward). With train=True batch norm
+    uses batch statistics and folds them into the running estimates with
+    momentum BN_MOMENTUM.
     """
-    return _run(g, x, keep=True, train=train, bn_momentum=bn_momentum)
+    return _run(g, x, keep=True, train=train)
 
 
 def forward(g: NetGraph, x: Tensor) -> list[HeadOutput]:
@@ -458,8 +457,7 @@ def forward(g: NetGraph, x: Tensor) -> list[HeadOutput]:
     return heads
 
 
-def _run(g: NetGraph, x: Tensor, keep: bool, train: bool = False,
-         bn_momentum: float = 0.9):
+def _run(g: NetGraph, x: Tensor, keep: bool, train: bool = False):
     """The layer loop behind forward (keep=False) and forward_trace (keep=True)."""
     w, h, c = g.input_shape
     if (x.c, x.h, x.w) != (c, h, w):
@@ -480,23 +478,22 @@ def _run(g: NetGraph, x: Tensor, keep: bool, train: bool = False,
             if sp.batch_norm and train:
                 z, cache["bn"] = nn.batchnorm_train_forward(z, p["gamma"], p["beta"], 1e-5)
                 _, _, _, mu, var = cache["bn"]
-                p["mean"] = (bn_momentum * p["mean"]
-                             + (1.0 - bn_momentum) * mu).astype(p["mean"].dtype)
-                p["var"] = (bn_momentum * p["var"]
-                            + (1.0 - bn_momentum) * var).astype(p["var"].dtype)
+                p["mean"] = (BN_MOMENTUM * p["mean"]
+                             + (1.0 - BN_MOMENTUM) * mu).astype(p["mean"].dtype)
+                p["var"] = (BN_MOMENTUM * p["var"]
+                            + (1.0 - BN_MOMENTUM) * var).astype(p["var"].dtype)
             elif sp.batch_norm:
                 if keep:
                     cache["bn_x"] = z
                 z = nn.batchnorm_infer_raw(z, p["gamma"], p["beta"],
                                            p["mean"], p["var"], 1e-5)
             if keep:
-                cache["conv_x"], cache["act_x"] = src, z
+                cache["act_x"] = z
             out = nn.activate_raw(z, sp.activation)
             del z       # not held while the next layer runs
         elif sp.kind == "max":
             if keep:
                 out, cache["pool_arg"] = nn.maxpool_forward(src, sp.size, sp.stride)
-                cache["pool_shape"] = src.shape
             else:
                 out = nn.maxpool_raw(src, sp.size, sp.stride)
         elif sp.kind == "route":
@@ -505,9 +502,6 @@ def _run(g: NetGraph, x: Tensor, keep: bool, train: bool = False,
                 out = nn.split_half(outputs[sp.route_refs[0]], sp.split)
             else:
                 out = nn.concat_channels([outputs[r] for r in sp.route_refs])
-                if keep:
-                    cache["route_channels"] = [outputs[r].shape[1]
-                                               for r in sp.route_refs]
         elif sp.kind == "upsample":
             out = nn.upsample2x_raw(src)
         elif sp.kind == "yolo_head":
@@ -552,14 +546,9 @@ def save_weights(g: NetGraph, sink: str | Path | BinaryIO) -> int:
     return len(blob)
 
 
-def load_weights(g: NetGraph, source: str | Path | BinaryIO | bytes) -> NetGraph:
+def load_weights(g: NetGraph, source: str | Path | bytes) -> NetGraph:
     """Read a weight blob written by save_weights into g (validates identity)."""
-    if isinstance(source, (str, Path)):
-        blob = Path(source).read_bytes()
-    elif isinstance(source, bytes):
-        blob = source
-    else:
-        blob = source.read()
+    blob = source if isinstance(source, bytes) else Path(source).read_bytes()
     if len(blob) < _HEADER.size:
         raise TruncatedWeightsError(f"blob is {len(blob)} bytes, header needs "
                                     f"{_HEADER.size}")

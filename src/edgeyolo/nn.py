@@ -31,10 +31,6 @@ class Tensor:
             raise ShapeError(f"all tensor dimensions must be >= 1, got shape {arr.shape}")
         self.data = arr
 
-    @classmethod
-    def zeros(cls, n: int, c: int, h: int, w: int, dtype=np.float32) -> "Tensor":
-        return cls(np.zeros((n, c, h, w), dtype=dtype))
-
     @property
     def n(self) -> int:
         return self.data.shape[0]

@@ -25,9 +25,6 @@ class Box:
         return (self.cx - self.w / 2.0, self.cy - self.h / 2.0,
                 self.cx + self.w / 2.0, self.cy + self.h / 2.0)
 
-    def area(self) -> float:
-        return self.w * self.h
-
 
 @dataclass(frozen=True)
 class Detection:

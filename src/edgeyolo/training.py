@@ -15,13 +15,13 @@ loss is mostly made of them, since no step can then bring it down.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass
+from typing import ClassVar, Sequence
 
 import numpy as np
 
 from . import images, nn, netdef
-from .anchors import AnchorSet, kmeans_anchors
+from .anchors import AnchorSet, iou_wh, kmeans_anchors
 from .netdef import HeadOutput, NetGraph, parse_config
 from .postprocess import (Box, Detection, SoftNmsConfig, ciou_loss_grad, decode,
                           evaluate, iou, soft_nms)
@@ -84,11 +84,6 @@ class TargetAssignment:
     n_positive: int = 0
 
 
-def _wh_iou(wa: float, ha: float, wb: float, hb: float) -> float:
-    inter = min(wa, wb) * min(ha, hb)
-    return inter / (wa * ha + wb * hb - inter)
-
-
 def assign_targets(gts: Sequence[tuple[Box, int]], anchors: AnchorSet,
                    grids: Sequence[int], canvas: tuple[float, float],
                    num_classes: int, lambda_noobj: float = 0.5,
@@ -122,19 +117,20 @@ def assign_targets(gts: Sequence[tuple[Box, int]], anchors: AnchorSet,
     )
     flat = [(si, ai, float(w), float(h))
             for si, grp in enumerate(groups) for ai, (w, h) in enumerate(grp)]
-    for box, cls in gts:
+    # extent IoU of every gt against every anchor, in flat's order
+    gt_wh = np.array([(box.w, box.h) for box, _ in gts], dtype=np.float64)
+    ious = iou_wh(gt_wh.reshape(-1, 2), np.array([t[2:] for t in flat])).tolist()
+    for (box, cls), box_ious in zip(gts, ious):
         if box.w <= 0 or box.h <= 0:
             raise ValueError(f"gt box has zero extent: {box}")
         if not (0 <= box.cx < img_w and 0 <= box.cy < img_h):
             raise ValueError(f"gt center outside the {img_w}x{img_h} canvas: {box}")
         if not 0 <= cls < num_classes:
             raise ValueError(f"class id {cls} out of range for {num_classes} classes")
-        ranked = sorted(flat, key=lambda t: (-_wh_iou(box.w, box.h, t[2], t[3]),
-                                             t[0], t[1]))
+        ranked = sorted(zip(box_ious, flat), key=lambda t: (-t[0], t[1][0], t[1][1]))
         placed = False
-        for si, ai, aw, ah in ranked:
-            if placed and (iou_thresh is None or
-                           _wh_iou(box.w, box.h, aw, ah) <= iou_thresh):
+        for overlap, (si, ai, aw, ah) in ranked:
+            if placed and (iou_thresh is None or overlap <= iou_thresh):
                 break
             s = grids[si]
             cx = int(box.cx / (img_w / s))
@@ -323,6 +319,7 @@ def graph_backward(g: NetGraph, x: nn.Tensor, outputs: list[np.ndarray],
             continue
         sp = g.layers[i]
         cache = caches[i]
+        src = outputs[i - 1] if i > 0 else x.data      # the layer's input
         if sp.kind == "conv":
             p = g.params[i]
             dz = nn.activate_backward(dy, cache["act_x"], sp.activation)
@@ -334,20 +331,20 @@ def graph_backward(g: NetGraph, x: nn.Tensor, outputs: list[np.ndarray],
                     dz, dgamma, dbeta = nn.batchnorm_infer_backward(
                         dz, cache["bn_x"], p["gamma"], p["mean"], p["var"], 1e-5)
                 pg["gamma"], pg["beta"] = dgamma, dbeta
-            dx, dw, db = nn.conv2d_backward(dz, cache["conv_x"], p["w"], sp.stride)
+            dx, dw, db = nn.conv2d_backward(dz, src, p["w"], sp.stride)
             pg["w"], pg["b"] = dw, db
             param_grads[i] = pg
             send(i - 1, dx)
         elif sp.kind == "max":
             send(i - 1, nn.maxpool_backward(dy, cache["pool_arg"],
-                                            cache["pool_shape"], sp.size, sp.stride))
+                                            src.shape, sp.size, sp.stride))
         elif sp.kind == "route":
             if sp.split is not None:
                 src_c = outputs[sp.route_refs[0]].shape[1]
                 send(sp.route_refs[0], nn.split_half_backward(dy, src_c, sp.split))
             else:
-                for ref, part in zip(sp.route_refs,
-                                     nn.concat_backward(dy, cache["route_channels"])):
+                channels = [g.out_shapes[r][0] for r in sp.route_refs]
+                for ref, part in zip(sp.route_refs, nn.concat_backward(dy, channels)):
                     send(ref, part)
         elif sp.kind == "upsample":
             send(i - 1, nn.upsample2x_backward(dy))
@@ -391,29 +388,25 @@ class ToyScenario:
 
     train_toy shows each training image under a random symmetry of the
     square (toy_symmetry) and decays the step size from eta to 0 along a
-    half cosine over `steps`.
+    half cosine over `steps`. The class-level constants fix the task and the
+    model shape (toy_graph); the fields are the run's settings.
     """
 
+    num_classes: ClassVar[int] = 3
+    img_size: ClassVar[int] = 64
+    lambda_noobj: ClassVar[float] = 0.5
+    anchors_per_scale: ClassVar[int] = 2
+    width: ClassVar[int] = 8
+    decode_floor: ClassVar[float] = 0.05
+
     seed: int = 0
-    num_classes: int = 3
-    img_size: int = 64
     train_images: int = 1024   # smaller corpora reward background memorization
     val_images: int = 64
     steps: int = 4000          # held-out AP levels off by ~3000 (seeds 0-4)
                                # and holds within ~0.01 to the end
     batch_size: int = 8
     eta: float = 0.004         # peak step size, at step 0
-    lambda_noobj: float = 0.5
-    anchors_per_scale: int = 2
-    width: int = 8
     eval_every: int = 0            # 0: evaluate only at the end
-    decode_floor: float = 0.05
-
-    def __post_init__(self):
-        if not 2 <= self.num_classes <= 4:
-            raise ValueError("the shapes task defines 2 to 4 classes")
-        if self.img_size % 16 != 0:
-            raise ValueError("img_size must be a multiple of 16")
 
 
 # class -> (fill color, shape); even ids are rectangles, odd ids ellipses
@@ -525,14 +518,27 @@ def toy_config(num_classes: int, anchors_per_scale: int, width: int = 8,
     return f"net {img_size} {img_size} 3\n" + "\n".join(body) + "\n"
 
 
-def _init_head_bias(g: NetGraph, num_classes: int, anchors_per_scale: int,
-                    obj_bias: float = -4.0) -> None:
+def toy_graph(sc: ToyScenario, dataset) -> NetGraph:
+    """The scenario's slim graph with random weights drawn from sc.seed.
+
+    Its anchors are K-means clusters of the dataset's box extents.
+    """
+    wh = [(b.w, b.h) for _, gts in dataset for b, _ in gts]
+    anchors = kmeans_anchors(wh, k=3 * sc.anchors_per_scale, seed=sc.seed,
+                             input_size=sc.img_size)
+    g = parse_config(toy_config(sc.num_classes, sc.anchors_per_scale,
+                                sc.width, sc.img_size))
+    g.attach_detection_meta(sc.num_classes, anchors, sc.anchors_per_scale)
+    return g.init_random(sc.seed)
+
+
+def _init_head_bias(g: NetGraph) -> None:
     # start objectness near zero so the negative-slot sea is quiet
-    per = 5 + num_classes
+    per = 5 + g.num_classes
     for src in g.head_source_indices():
         b = g.params[src]["b"]
-        for a in range(anchors_per_scale):
-            b[a * per + 4] = obj_bias
+        for a in range(g.anchors_per_scale):
+            b[a * per + 4] = -4.0
 
 
 @dataclass
@@ -586,15 +592,8 @@ def train_toy(scenario: ToyScenario = ToyScenario()) -> TrainResult:
                                      sc.img_size, sc.num_classes)
     val_set = generate_toy_dataset(sc.seed * 1000 + 2, sc.val_images,
                                    sc.img_size, sc.num_classes)
-    wh = [(b.w, b.h) for _, gts in train_set for b, _ in gts]
-    anchors = kmeans_anchors(wh, k=3 * sc.anchors_per_scale, seed=sc.seed,
-                             input_size=sc.img_size)
-    g = parse_config(toy_config(sc.num_classes, sc.anchors_per_scale,
-                                sc.width, sc.img_size))
-    g.attach_detection_meta(sc.num_classes, anchors, sc.anchors_per_scale)
-    g.init_random(sc.seed)
-    _init_head_bias(g, sc.num_classes, sc.anchors_per_scale)
-
+    g = toy_graph(sc, train_set)
+    _init_head_bias(g)
     grids = g.head_grids()
     rng = np.random.default_rng(sc.seed + 7)
     sym_rng = np.random.default_rng(sc.seed + 11)
@@ -606,7 +605,7 @@ def train_toy(scenario: ToyScenario = ToyScenario()) -> TrainResult:
         views = [toy_symmetry(*train_set[i], int(k))
                  for i, k in zip(idx, sym_rng.integers(0, 8, size=len(idx)))]
         batch = nn.Tensor(np.stack([img for img, _ in views]))
-        targets = [assign_targets(gts, anchors, grids, (sc.img_size, sc.img_size),
+        targets = [assign_targets(gts, g.anchors, grids, (sc.img_size, sc.img_size),
                                   sc.num_classes, sc.lambda_noobj,
                                   iou_thresh=TOY_ANCHOR_IOU)
                    for _, gts in views]
@@ -642,4 +641,4 @@ def train_toy(scenario: ToyScenario = ToyScenario()) -> TrainResult:
         if sc.eval_every and (step + 1) % sc.eval_every == 0:
             entry["val_ap50"] = evaluate_toy(g, val_set, sc.decode_floor)
     final_ap = evaluate_toy(g, val_set, sc.decode_floor)
-    return TrainResult(g, anchors, history, final_ap, initial_loss, final_loss)
+    return TrainResult(g, g.anchors, history, final_ap, initial_loss, final_loss)

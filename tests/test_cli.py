@@ -38,8 +38,7 @@ def mini(tmp_path_factory):
 
 def _model_flags(mini):
     return ["--config", mini["cfg"], "--weights", mini["weights"],
-            "--anchors", mini["anchors"], "--classes", "2",
-            "--anchors-per-scale", "2"]
+            "--anchors", mini["anchors"]]
 
 
 # ---------------------------------------------------------------------------
@@ -93,10 +92,34 @@ def test_detect_score_floor_filters_everything(mini, capsys):
 def test_detect_missing_weights(mini, capsys):
     rc = cli.main(["detect", "--config", mini["cfg"],
                    "--weights", "/nonexistent.weights",
-                   "--anchors", mini["anchors"], "--classes", "2",
-                   "--anchors-per-scale", "2", mini["img"]])
+                   "--anchors", mini["anchors"], mini["img"]])
     assert rc == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_detect_derives_classes_and_anchors_per_scale(mini, capsys):
+    rc = cli.main(["detect", *_model_flags(mini), "--score-floor", "0.0",
+                   mini["img"]])
+    rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert rc == 0
+    assert rows                           # 14 head channels / 2 anchors: 2 classes
+    assert {r["class"] for r in rows} <= {0, 1}
+
+
+def test_detect_rejects_anchors_that_do_not_fit_the_heads(mini, capsys, tmp_path):
+    four = tmp_path / "four.anchors.txt"
+    four.write_text("6,6\n9,8\n12,10\n20,20\n")
+    # 4 anchors do not divide among the preset's 3 heads
+    rc = cli.main(["detect", "--config", str(PRESET / "edge-yolo-416.net"),
+                   "--weights", mini["weights"], "--anchors", str(four),
+                   mini["img"]])
+    assert rc == 1
+    assert "do not divide among 3 detection heads" in capsys.readouterr().err
+    # 4 anchors on the mini net's one head leave 14 // 4 - 5 < 1 classes
+    rc = cli.main(["detect", "--config", mini["cfg"], "--weights",
+                   mini["weights"], "--anchors", str(four), mini["img"]])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_detect_unreadable_image(mini, capsys):
@@ -206,7 +229,6 @@ def test_train_toy_smoke_with_artifacts(capsys, tmp_path):
     rc = cli.main(["detect", "--config", str(out.with_suffix(".net")),
                    "--weights", str(out),
                    "--anchors", str(out.with_suffix(".anchors.txt")),
-                   "--classes", "3", "--anchors-per-scale", "2",
                    "--score-floor", "0.5", str(frame)])
     assert rc == 0
 

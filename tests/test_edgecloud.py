@@ -11,12 +11,14 @@ import pytest
 
 from edgeyolo.edgecloud import live, protocol, sim
 from edgeyolo.edgecloud.protocol import (ACK, DETECT_REQUEST, DETECT_RESULT,
-                                         FRAME_UPLOAD, WEIGHT_PUSH,
-                                         BadMagicError, ChecksumError,
-                                         Message, ProtocolError,
+                                         FRAME_UPLOAD, MAX_PAYLOAD,
+                                         WEIGHT_PUSH, BadMagicError,
+                                         ChecksumError, Message,
+                                         OversizeFrameError, ProtocolError,
                                          TruncatedFrameError,
                                          UnknownTypeError, decode_message,
                                          encode_message, read_message)
+from edgeyolo.postprocess import Box
 
 
 # ---------------------------------------------------------------------------
@@ -100,6 +102,38 @@ def test_stream_mid_frame_eof():
     whole = encode_message(Message(FRAME_UPLOAD, 1, b"abcdef"))
     with pytest.raises(TruncatedFrameError):
         read_message(io.BytesIO(whole[:9]))
+
+
+class _RecordingReader:
+    """Serves fixed bytes and records each size asked of it; allocates
+    nothing for a large request."""
+
+    def __init__(self, data: bytes):
+        self.data = data
+        self.asked: list[int] = []
+
+    def read(self, n: int) -> bytes:
+        self.asked.append(n)
+        chunk, self.data = self.data[:n], self.data[n:]
+        return chunk
+
+
+def test_forged_length_is_rejected_before_the_payload_is_read():
+    def header(length):
+        return struct.pack("<4sBBII", b"EYP1", ACK, 0, 1, length)
+
+    for length in (MAX_PAYLOAD + 1, 0xFFFFFFFF):
+        reader = _RecordingReader(header(length) + b"\0" * 64)
+        with pytest.raises(OversizeFrameError):
+            read_message(reader)
+        assert max(reader.asked) <= 18           # the header, nothing more
+        with pytest.raises(OversizeFrameError):
+            decode_message(header(length) + b"\0" * 4)
+    # at the cap itself the payload is asked for
+    reader = _RecordingReader(header(MAX_PAYLOAD))
+    with pytest.raises(TruncatedFrameError):
+        read_message(reader)
+    assert reader.asked[-1] == MAX_PAYLOAD + 4
 
 
 # ---------------------------------------------------------------------------
@@ -246,6 +280,81 @@ def test_frame_payload_round_trip(rng):
         # box fields travel as float32
         assert (gb.cx, gb.cy, gb.w, gb.h) == \
             pytest.approx((wb.cx, wb.cy, wb.w, wb.h), abs=1e-5)
+
+
+def test_unpack_frame_checks_the_payload_size():
+    blob = live.pack_frame(np.zeros((3, 8, 8), np.float32),
+                           [(Box(4.0, 4.0, 2.0, 2.0), 0)])
+    for bad in (blob[:2], blob[:-1], blob + b"\0", blob[:7 + 3 * 64]):
+        with pytest.raises(live.MalformedUploadError):
+            live.unpack_frame(bad)
+    assert issubclass(live.MalformedUploadError, ProtocolError)
+
+
+def _serving(cloud):
+    """The cloud's serve loop on one end of a socket pair; returns the other
+    end as a raw socket, the cloud's transport and the thread."""
+    a, b = socket.socketpair()
+    cloud_t = live.Transport(b)
+    server = threading.Thread(target=cloud.serve, args=(cloud_t,), daemon=True)
+    server.start()
+    return a, cloud_t, server
+
+
+def test_cloud_rejects_malformed_uploads_and_keeps_serving():
+    graph, _ = live.demo_setup(seed=0)
+    cloud = live.CloudNode(graph, retrain_every=2, retrain_steps=1)
+    img = np.full((3, 64, 64), 0.5, dtype=np.float32)
+    good = live.pack_frame(img, [(Box(20.0, 20.0, 16.0, 16.0), 1)])
+    bad = [
+        good[:2],                                     # shorter than its header
+        good[:-3],                                    # truncated box record
+        live.pack_frame(np.zeros((3, 32, 32), np.float32),
+                        [(Box(10.0, 10.0, 8.0, 8.0), 0)]),   # wrong frame size
+        live.pack_frame(img, [(Box(20.0, 20.0, 16.0, 16.0), 7)]),
+        live.pack_frame(img, [(Box(20.0, float("nan"), 16.0, 16.0), 0)]),
+        live.pack_frame(img, [(Box(20.0, 20.0, float("inf"), 16.0), 0)]),
+        live.pack_frame(img, [(Box(20.0, 20.0, -3.0, 16.0), 0)]),
+        live.pack_frame(img, [(Box(80.0, 20.0, 16.0, 16.0), 0)]),   # off canvas
+    ]
+    sock, cloud_t, server = _serving(cloud)
+    edge_t = live.Transport(sock)
+    try:
+        for i, payload in enumerate(bad):
+            edge_t.send(Message(FRAME_UPLOAD, 1, payload))
+            assert edge_t.recv() == Message(ACK, 1), i
+            assert cloud.buffer == [], i
+            assert server.is_alive(), i
+        # the buffer still trains: the second good upload gets a push
+        edge_t.send(Message(FRAME_UPLOAD, 1, good))
+        assert edge_t.recv() == Message(ACK, 1)
+        edge_t.send(Message(FRAME_UPLOAD, 1, good))
+        assert edge_t.recv().msg_type == WEIGHT_PUSH
+    finally:
+        edge_t.close()
+        server.join(timeout=30)
+        cloud_t.close()
+    assert not server.is_alive()
+    assert len(cloud.buffer) == 2
+    assert sum(line.startswith("rejected upload") for line in cloud.log) == len(bad)
+
+
+@pytest.mark.parametrize("head", [
+    b"NOPE" + encode_message(Message(ACK, 1))[4:],
+    struct.pack("<4sBBII", b"EYP1", FRAME_UPLOAD, 0, 1, MAX_PAYLOAD + 1),
+], ids=["bad-magic", "over-cap"])
+def test_cloud_stops_reading_a_desynchronised_stream(head):
+    cloud = live.CloudNode(live.demo_setup(seed=0)[0])
+    sock, cloud_t, server = _serving(cloud)
+    try:
+        sock.sendall(head + encode_message(Message(ACK, 1)))
+        server.join(timeout=30)
+        assert not server.is_alive()
+    finally:
+        sock.close()
+        server.join(timeout=30)
+        cloud_t.close()
+    assert cloud.log[-1].startswith("closing desynchronised stream")
 
 
 def test_loopback_session_pushes_weights():

@@ -489,9 +489,7 @@ def test_update_rule_arithmetic():
 # ---------------------------------------------------------------------------
 
 def test_zero_step_budget_keeps_initial_weights():
-    from edgeyolo.training import _init_head_bias, toy_config
-    from edgeyolo.anchors import kmeans_anchors
-    from edgeyolo.training import generate_toy_dataset
+    from edgeyolo.training import _init_head_bias, generate_toy_dataset, toy_graph
 
     sc = ToyScenario(seed=3, steps=0, train_images=16, val_images=4)
     res = train_toy(sc)
@@ -499,14 +497,8 @@ def test_zero_step_budget_keeps_initial_weights():
 
     train_set = generate_toy_dataset(sc.seed * 1000 + 1, sc.train_images,
                                      sc.img_size, sc.num_classes)
-    wh = [(b.w, b.h) for _, gts in train_set for b, _ in gts]
-    anchors = kmeans_anchors(wh, k=3 * sc.anchors_per_scale, seed=sc.seed,
-                             input_size=sc.img_size)
-    g = parse_config(toy_config(sc.num_classes, sc.anchors_per_scale,
-                                sc.width, sc.img_size))
-    g.attach_detection_meta(sc.num_classes, anchors, sc.anchors_per_scale)
-    g.init_random(sc.seed)
-    _init_head_bias(g, sc.num_classes, sc.anchors_per_scale)
+    g = toy_graph(sc, train_set)
+    _init_head_bias(g)
     for p, q in zip(res.graph.params, g.params):
         if p is None:
             assert q is None
