@@ -22,9 +22,9 @@ import numpy as np
 from .. import netdef, nn
 from ..netdef import NetGraph, WeightsError, load_weights, save_weights
 from ..postprocess import Box, Detection
-from ..training import (OptimizerConfig, ToyScenario, assign_targets,
-                        backward_and_step, detect_image, generate_toy_dataset,
-                        toy_graph)
+from ..training import (TOY_ANCHOR_IOU, OptimizerConfig, ToyScenario,
+                        assign_targets, backward_and_step, detect_image,
+                        generate_toy_dataset, toy_graph)
 from . import protocol
 from .protocol import Message
 
@@ -152,7 +152,8 @@ class CloudNode:
             return
         imgs = np.stack([img for img, _ in usable])
         targets = [assign_targets(gts, self.graph.anchors, grids, (w, h),
-                                  self.graph.num_classes)
+                                  self.graph.num_classes,
+                                  iou_thresh=TOY_ANCHOR_IOU)
                    for _, gts in usable]
         for _ in range(self.retrain_steps):
             backward_and_step(self.graph, nn.Tensor(imgs), targets, self.opt)
@@ -169,7 +170,7 @@ class CloudNode:
             raise ValueError("a box has a non-finite coordinate")
         # class range, positive extents, centers on the canvas, free slots
         assign_targets(gts, self.graph.anchors, self.graph.head_grids(), (w, h),
-                       self.graph.num_classes)
+                       self.graph.num_classes, iou_thresh=TOY_ANCHOR_IOU)
 
     def handle(self, msg: Message) -> Message:
         if msg.msg_type == protocol.FRAME_UPLOAD:
@@ -197,12 +198,17 @@ class CloudNode:
         while True:
             try:
                 msg = transport.recv()
-            except (protocol.BadMagicError, protocol.OversizeFrameError) as err:
-                # frame boundaries are lost: nothing after this can be trusted
+            except (protocol.BadMagicError, protocol.OversizeFrameError,
+                    protocol.TruncatedFrameError) as err:
+                # frame boundaries are lost, or the stream ended inside a
+                # frame: nothing after this can be trusted or answered
                 self.log.append(f"closing desynchronised stream: {err}")
                 return
             except protocol.ProtocolError as err:
+                # a whole frame with a bad checksum or type: still answered,
+                # so the request/reply alternation holds
                 self.log.append(f"dropping bad frame: {err}")
+                transport.send(Message(protocol.ACK, self.version))
                 continue
             if msg is None:
                 return

@@ -52,113 +52,93 @@ def sigmoid(x):
     return 1.0 / (1.0 + np.exp(-x))
 
 
-def iou(a: Box, b: Box) -> float:
-    """Intersection over union; 0 when either box is degenerate."""
-    ax1, ay1, ax2, ay2 = a.corners()
-    bx1, by1, bx2, by2 = b.corners()
-    iw = min(ax2, bx2) - max(ax1, bx1)
-    ih = min(ay2, by2) - max(ay1, by1)
-    if iw <= 0.0 or ih <= 0.0:
-        return 0.0
+def corner_iou(a, b) -> np.ndarray:
+    """IoU of (x1, y1, x2, y2) boxes along the last axis; a and b broadcast.
+
+    0 where the boxes do not overlap or the union is not positive.
+    """
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    iw = np.minimum(a[..., 2], b[..., 2]) - np.maximum(a[..., 0], b[..., 0])
+    ih = np.minimum(a[..., 3], b[..., 3]) - np.maximum(a[..., 1], b[..., 1])
     inter = iw * ih
     # areas from the same corner arithmetic, so identical boxes hit 1 exactly
-    union = (ax2 - ax1) * (ay2 - ay1) + (bx2 - bx1) * (by2 - by1) - inter
-    if union <= 0.0:
-        return 0.0
-    return inter / union
+    union = ((a[..., 2] - a[..., 0]) * (a[..., 3] - a[..., 1])
+             + (b[..., 2] - b[..., 0]) * (b[..., 3] - b[..., 1]) - inter)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where((iw <= 0.0) | (ih <= 0.0) | (union <= 0.0), 0.0,
+                        inter / union)
+
+
+def iou(a: Box, b: Box) -> float:
+    """Intersection over union; 0 when either box is degenerate."""
+    return float(corner_iou(a.corners(), b.corners()))
 
 
 # ---------------------------------------------------------------------------
 # CIoU
 # ---------------------------------------------------------------------------
 
-def _ciou_value_grad(p: Sequence[float], g: Sequence[float],
-                     want_grad: bool) -> tuple[float, np.ndarray | None]:
-    """Complete-IoU loss of pred p vs target g, optionally with d(loss)/dp.
+def _span_grad(lo_p: np.ndarray, hi_p: np.ndarray) -> np.ndarray:
+    """d/d(cx, cy, w, h) of the x and y spans between two boxes' edges,
+    where lo_p and hi_p mark the low and high edges that pred supplies."""
+    lo, hi = lo_p.astype(np.float64), hi_p.astype(np.float64)
+    return np.concatenate([hi - lo, 0.5 * hi + 0.5 * lo], axis=-1)
 
-    p and g are (cx, cy, w, h). The gradient covers every term, including
-    the dependence of the aspect weight on IoU and v.
+
+def ciou_loss_grad(pred, gt) -> tuple[np.ndarray, np.ndarray]:
+    """Complete-IoU loss of pred against gt, and d(loss)/d(pred).
+
+    pred and gt are (..., 4) arrays of (cx, cy, w, h) that broadcast. The
+    loss has their broadcast leading shape and the gradient that shape plus
+    the last axis. The gradient covers every term, including the dependence
+    of the aspect weight on IoU and v.
     """
-    pcx, pcy, pw, ph = (float(v) for v in p)
-    gcx, gcy, gw, gh = (float(v) for v in g)
-    if pw <= 0 or ph <= 0 or gw <= 0 or gh <= 0:
+    p, g = np.broadcast_arrays(np.asarray(pred, dtype=np.float64),
+                               np.asarray(gt, dtype=np.float64))
+    if np.any(p[..., 2:] <= 0) or np.any(g[..., 2:] <= 0):
         raise ValueError("boxes must have positive extent")
-    d = np.zeros(4) if want_grad else None   # d/d(pcx, pcy, pw, ph)
+    # x and y sit side by side in (..., 2) arrays; per-pair values are (..., 1)
+    pc, pwh, gc, gwh = p[..., :2], p[..., 2:], g[..., :2], g[..., 2:]
+    p1, p2, g1, g2 = pc - pwh / 2, pc + pwh / 2, gc - gwh / 2, gc + gwh / 2
 
-    px1, px2 = pcx - pw / 2, pcx + pw / 2
-    py1, py2 = pcy - ph / 2, pcy + ph / 2
-    gx1, gx2 = gcx - gw / 2, gcx + gw / 2
-    gy1, gy2 = gcy - gh / 2, gcy + gh / 2
-
-    # intersection, with indicator bookkeeping for the gradient
-    ix1, ix1_p = (px1, True) if px1 >= gx1 else (gx1, False)
-    ix2, ix2_p = (px2, True) if px2 <= gx2 else (gx2, False)
-    iy1, iy1_p = (py1, True) if py1 >= gy1 else (gy1, False)
-    iy2, iy2_p = (py2, True) if py2 <= gy2 else (gy2, False)
-    iw, ih = ix2 - ix1, iy2 - iy1
-    inter = iw * ih if (iw > 0 and ih > 0) else 0.0
+    # intersection; i1_p and i2_p mark the edges pred supplies
+    i1_p, i2_p = p1 >= g1, p2 <= g2
+    iwh = np.where(i2_p, p2, g2) - np.where(i1_p, p1, g1)
+    inter = np.where(np.all(iwh > 0, -1, keepdims=True),
+                     np.prod(iwh, -1, keepdims=True), 0.0)
     # areas from corner differences: identical boxes then give IoU 1 exactly
-    area_p, area_g = (px2 - px1) * (py2 - py1), (gx2 - gx1) * (gy2 - gy1)
-    union = area_p + area_g - inter
+    union = (np.prod(p2 - p1, -1, keepdims=True)
+             + np.prod(g2 - g1, -1, keepdims=True) - inter)
     iou_val = inter / union
 
-    # enclosing box diagonal
-    cx1, cx1_p = (px1, True) if px1 <= gx1 else (gx1, False)
-    cx2, cx2_p = (px2, True) if px2 >= gx2 else (gx2, False)
-    cy1, cy1_p = (py1, True) if py1 <= gy1 else (gy1, False)
-    cy2, cy2_p = (py2, True) if py2 >= gy2 else (gy2, False)
-    cw, chh = cx2 - cx1, cy2 - cy1
-    c2 = cw * cw + chh * chh
-    rho2 = (pcx - gcx) ** 2 + (pcy - gcy) ** 2
+    # enclosing box diagonal and center distance
+    c1_p, c2_p = p1 <= g1, p2 >= g2
+    cwh = np.where(c2_p, p2, g2) - np.where(c1_p, p1, g1)
+    c2 = np.sum(cwh * cwh, -1, keepdims=True)
+    rho2 = np.sum((pc - gc) ** 2, -1, keepdims=True)
 
-    q = math.atan(gw / gh) - math.atan(pw / ph)
+    q = np.arctan(gwh[..., :1] / gwh[..., 1:]) - np.arctan(pwh[..., :1] / pwh[..., 1:])
     v = (4.0 / math.pi ** 2) * q * q
     s = (1.0 - iou_val) + v
-    alpha = v / s if s > 0 else 0.0
-
+    with np.errstate(divide="ignore", invalid="ignore"):
+        alpha = np.where(s > 0, v / s, 0.0)
     loss = 1.0 - iou_val + rho2 / c2 + alpha * v
-    if not want_grad:
-        return loss, None
 
-    # d(inter), d(union), d(iou)
-    d_inter = np.zeros(4)
-    if inter > 0.0:
-        # d(iw)/d(pcx, pw), d(ih)/d(pcy, ph)
-        diw_dcx = (1.0 if ix2_p else 0.0) - (1.0 if ix1_p else 0.0)
-        diw_dw = 0.5 * (1.0 if ix2_p else 0.0) + 0.5 * (1.0 if ix1_p else 0.0)
-        dih_dcy = (1.0 if iy2_p else 0.0) - (1.0 if iy1_p else 0.0)
-        dih_dh = 0.5 * (1.0 if iy2_p else 0.0) + 0.5 * (1.0 if iy1_p else 0.0)
-        d_inter[0] = ih * diw_dcx
-        d_inter[2] = ih * diw_dw
-        d_inter[1] = iw * dih_dcy
-        d_inter[3] = iw * dih_dh
-    d_area_p = np.array([0.0, 0.0, ph, pw])
-    d_union = d_area_p - d_inter
+    d_inter = np.where(inter > 0, np.tile(iwh[..., ::-1], 2) * _span_grad(i1_p, i2_p), 0.0)
+    d_union = np.concatenate([np.zeros_like(pc), pwh[..., ::-1]], -1) - d_inter
     d_iou = (d_inter * union - inter * d_union) / (union * union)
-
-    # d(rho2 / c2)
-    d_rho2 = np.array([2.0 * (pcx - gcx), 2.0 * (pcy - gcy), 0.0, 0.0])
-    dcw = np.zeros(4)
-    dcw[0] = (1.0 if cx2_p else 0.0) - (1.0 if cx1_p else 0.0)
-    dcw[2] = 0.5 * (1.0 if cx2_p else 0.0) + 0.5 * (1.0 if cx1_p else 0.0)
-    dch = np.zeros(4)
-    dch[1] = (1.0 if cy2_p else 0.0) - (1.0 if cy1_p else 0.0)
-    dch[3] = 0.5 * (1.0 if cy2_p else 0.0) + 0.5 * (1.0 if cy1_p else 0.0)
-    d_c2 = 2.0 * cw * dcw + 2.0 * chh * dch
+    d_rho2 = np.concatenate([2.0 * (pc - gc), np.zeros_like(pc)], -1)
+    d_c2 = np.tile(2.0 * cwh, 2) * _span_grad(c1_p, c2_p)
     d_dist = (d_rho2 * c2 - rho2 * d_c2) / (c2 * c2)
-
-    # d(alpha * v); atan'(w/h) terms
-    denom = pw * pw + ph * ph
-    d_q = np.array([0.0, 0.0, -ph / denom, pw / denom])
+    # atan'(w/h) terms of d(alpha * v)
+    d_q = (np.concatenate([np.zeros_like(pc), pwh[..., ::-1] * (-1.0, 1.0)], -1)
+           / np.sum(pwh * pwh, -1, keepdims=True))
     d_v = (8.0 / math.pi ** 2) * q * d_q
-    if s > 0:
+    with np.errstate(divide="ignore", invalid="ignore"):
         d_alpha = (d_v * (1.0 - iou_val) + v * d_iou) / (s * s)
-        d_av = alpha * d_v + v * d_alpha
-    else:
-        d_av = np.zeros(4)
-
-    d[:] = -d_iou + d_dist + d_av
-    return loss, d
+    d_av = np.where(s > 0, alpha * d_v + v * d_alpha, 0.0)
+    return loss[..., 0], -d_iou + d_dist + d_av
 
 
 def ciou_loss(pred: Box, gt: Box) -> float:
@@ -166,14 +146,9 @@ def ciou_loss(pred: Box, gt: Box) -> float:
 
     Zero iff the boxes coincide; always < 3.
     """
-    loss, _ = _ciou_value_grad((pred.cx, pred.cy, pred.w, pred.h),
-                               (gt.cx, gt.cy, gt.w, gt.h), want_grad=False)
-    return loss
-
-
-def ciou_loss_grad(pred: Sequence[float], gt: Sequence[float]) -> tuple[float, np.ndarray]:
-    """CIoU loss and its gradient w.r.t. the predicted (cx, cy, w, h)."""
-    return _ciou_value_grad(pred, gt, want_grad=True)
+    loss, _ = ciou_loss_grad((pred.cx, pred.cy, pred.w, pred.h),
+                             (gt.cx, gt.cy, gt.w, gt.h))
+    return float(loss)
 
 
 # ---------------------------------------------------------------------------
@@ -231,23 +206,26 @@ def soft_nms(dets: Sequence[Detection], cfg: SoftNmsConfig = SoftNmsConfig()) ->
     whose running score falls below score_floor are dropped. As sigma
     approaches 0 this reproduces hard suppression at threshold t_nms.
     """
-    survivors: list[tuple[float, int, Detection]] = []
-    for cls in sorted({d.class_id for d in dets}):
-        pool = [(d.score, i, d) for i, d in enumerate(dets) if d.class_id == cls]
-        while pool:
-            best = max(pool, key=lambda t: (t[0], -t[1]))
-            pool.remove(best)
-            survivors.append(best)
-            kept = []
-            for score, i, d in pool:
-                ov = iou(best[2].box, d.box)
-                if ov >= cfg.t_nms:
-                    score = score * math.exp(-ov / cfg.sigma)
-                if score >= cfg.score_floor:
-                    kept.append((score, i, d))
-            pool = kept
+    corners = np.array([d.box.corners() for d in dets])
+    scores = np.array([d.score for d in dets], dtype=np.float64)
+    classes = np.array([d.class_id for d in dets])
+    survivors: list[tuple[float, int]] = []
+    for cls in np.unique(classes):
+        idx = np.flatnonzero(classes == cls)
+        pool_scores, pool_corners = scores[idx], corners[idx]
+        while idx.size:
+            # argmax takes the first maximum: ties go to the lowest index
+            k = int(np.argmax(pool_scores))
+            survivors.append((float(pool_scores[k]), int(idx[k])))
+            ov = corner_iou(pool_corners[k], pool_corners)
+            hit = np.flatnonzero(ov >= cfg.t_nms)
+            # math.exp, not np.exp, whose last ulp differs on some inputs
+            pool_scores[hit] *= [math.exp(-o / cfg.sigma) for o in ov[hit].tolist()]
+            keep = pool_scores >= cfg.score_floor
+            keep[k] = False
+            idx, pool_scores, pool_corners = idx[keep], pool_scores[keep], pool_corners[keep]
     survivors.sort(key=lambda t: (-t[0], t[1]))
-    return [Detection(d.box, d.class_id, score) for score, _, d in survivors]
+    return [Detection(dets[i].box, dets[i].class_id, score) for score, i in survivors]
 
 
 # ---------------------------------------------------------------------------
@@ -322,24 +300,20 @@ def evaluate(preds: Sequence[Sequence[Detection]],
                          for img_i, img in enumerate(preds)
                          for j, d in enumerate(img) if d.class_id == cls),
                         key=lambda t: (-t[0], t[1], t[2]))
-        gt_boxes = {img_i: [b for b, cid in img if cid == cls]
-                    for img_i, img in enumerate(gts)}
-        n_gt = sum(len(v) for v in gt_boxes.values())
-        used: dict[int, set[int]] = {img_i: set() for img_i in gt_boxes}
+        gt_corners = [np.array([b.corners() for b, cid in img if cid == cls])
+                      for img in gts]
+        n_gt = sum(len(v) for v in gt_corners)
+        used = [np.zeros(len(v), dtype=bool) for v in gt_corners]
         tp_flags: list[bool] = []
         for _, img_i, _, box in ranked:
-            best_iou, best_j = 0.0, -1
-            for j, gbox in enumerate(gt_boxes.get(img_i, [])):
-                if j in used[img_i]:
-                    continue
-                ov = iou(box, gbox)
-                if ov > best_iou:
-                    best_iou, best_j = ov, j
-            if best_j >= 0 and best_iou >= iou_thresh:
-                used[img_i].add(best_j)
-                tp_flags.append(True)
-            else:
-                tp_flags.append(False)
+            matched = False
+            if len(gt_corners[img_i]):
+                ov = np.where(used[img_i], 0.0,
+                              corner_iou(box.corners(), gt_corners[img_i]))
+                j = int(np.argmax(ov))       # the first maximum
+                if ov[j] > 0.0 and ov[j] >= iou_thresh:
+                    used[img_i][j] = matched = True
+            tp_flags.append(matched)
         tp = sum(tp_flags)
         fp = len(tp_flags) - tp
         fn = n_gt - tp

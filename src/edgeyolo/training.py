@@ -93,8 +93,8 @@ def assign_targets(gts: Sequence[tuple[Box, int]], anchors: AnchorSet,
     The anchor is the one of highest IoU against the gt extent at the
     origin; the cell is the one containing the gt center on that anchor's
     scale. When the preferred slot is already taken the box falls through
-    to its next-best anchor. Zero-extent boxes and out-of-canvas centers
-    are rejected.
+    to its next-best anchor. Boxes whose extent is not positive and finite
+    and out-of-canvas centers are rejected.
 
     With iou_thresh set, every further anchor whose extent IoU with the gt
     exceeds it also takes the gt, at its own scale's center cell, where
@@ -121,8 +121,9 @@ def assign_targets(gts: Sequence[tuple[Box, int]], anchors: AnchorSet,
     gt_wh = np.array([(box.w, box.h) for box, _ in gts], dtype=np.float64)
     ious = iou_wh(gt_wh.reshape(-1, 2), np.array([t[2:] for t in flat])).tolist()
     for (box, cls), box_ious in zip(gts, ious):
-        if box.w <= 0 or box.h <= 0:
-            raise ValueError(f"gt box has zero extent: {box}")
+        # written so that a NaN extent fails too
+        if not (0 < box.w < math.inf and 0 < box.h < math.inf):
+            raise ValueError(f"gt box extent is not positive and finite: {box}")
         if not (0 <= box.cx < img_w and 0 <= box.cy < img_h):
             raise ValueError(f"gt center outside the {img_w}x{img_h} canvas: {box}")
         if not 0 <= cls < num_classes:
@@ -178,12 +179,12 @@ def _loss_and_grads(raws: list[np.ndarray], targets: list[TargetAssignment],
     if tuple(r.shape[2] for r in raws) != grids:
         raise ValueError(f"head grids {[r.shape[2] for r in raws]} do not match "
                          f"targets {grids}")
-    grads = [np.zeros_like(r, dtype=np.float64) for r in raws] if want_grad else None
-    box_terms: list[float] = []
+    grads = [np.zeros(r.shape) for r in raws] if want_grad else None
     obj_terms: list[float] = []
     cls_terms: list[float] = []
     clamped_terms: list[float] = []
-    n_pos = 0
+    # every positive's predicted and target box, for one CIoU call per batch
+    preds, box_gts, box_slots = [], [], []
     for b in range(n):
         ta = targets[b]
         img_w, img_h = ta.canvas
@@ -192,7 +193,7 @@ def _loss_and_grads(raws: list[np.ndarray], targets: list[TargetAssignment],
             per = raws[si].shape[1] // a
             c = per - 5
             r = raws[si][b].astype(np.float64).reshape(a, per, s, s)
-            dr = np.zeros_like(r) if want_grad else None
+            dr = grads[si][b].reshape(a, per, s, s) if want_grad else None
             pos = ta.obj_mask[si]
 
             # saturated logits overflow exp harmlessly: the quotient is 0
@@ -223,39 +224,31 @@ def _loss_and_grads(raws: list[np.ndarray], targets: list[TargetAssignment],
                 if want_grad:
                     dr[pa, 5:, py, px] = np.where(onehot, g1, g0)
 
-            stride_x, stride_y = img_w / s, img_h / s
-            for ai, cy, cx in zip(pa, py, px):
-                n_pos += 1
-                tx, ty, tw, th = r[ai, 0, cy, cx], r[ai, 1, cy, cx], \
-                    r[ai, 2, cy, cx], r[ai, 3, cy, cx]
-                # finite float32 logits can still overflow math.exp (~709);
-                # anything near that scale is a diverged step, not a loss value
-                if max(abs(tx), abs(ty), abs(tw), abs(th)) > 600.0:
-                    raise TrainingDivergedError(
-                        "diverged: box logits out of numeric range")
-                aw, ah = ta.anchor_px[si][ai]
-                sx, sy = 1.0 / (1.0 + math.exp(-tx)), 1.0 / (1.0 + math.exp(-ty))
-                pred = (
-                    (sx + cx) * stride_x,
-                    (sy + cy) * stride_y,
-                    aw * math.exp(tw),
-                    ah * math.exp(th),
-                )
-                gt = ta.box_target[si][ai, cy, cx]
-                if want_grad:
-                    lb, dbox = ciou_loss_grad(pred, gt)
-                    dr[ai, 0, cy, cx] = dbox[0] * sx * (1.0 - sx) * stride_x
-                    dr[ai, 1, cy, cx] = dbox[1] * sy * (1.0 - sy) * stride_y
-                    dr[ai, 2, cy, cx] = dbox[2] * pred[2]
-                    dr[ai, 3, cy, cx] = dbox[3] * pred[3]
-                else:
-                    lb, _ = ciou_loss_grad(pred, gt)
-                box_terms.append(lb)
-            if want_grad:
-                grads[si][b] = dr.reshape(a * per, s, s)
+                t = r[pa, :4, py, px]
+                # finite float32 logits can still overflow exp (~709); anything
+                # near that scale is a diverged step, not a loss value
+                if np.max(np.abs(t)) > 600.0:
+                    raise TrainingDivergedError("diverged: box logits out of numeric range")
+                sxy = 1.0 / (1.0 + np.exp(-t[:, :2]))
+                stride = (img_w / s, img_h / s)
+                wh = ta.anchor_px[si][pa] * np.exp(t[:, 2:])
+                preds.append(np.concatenate([(sxy + np.stack([px, py], 1)) * stride, wh], 1))
+                box_gts.append(ta.box_target[si][pa, py, px])
+                box_slots.append((dr, pa, py, px, sxy, stride, wh))
 
-    # batch mean, so eta does not depend on batch size
-    loss_box = math.fsum(box_terms) / n
+    n_pos = sum(len(pr) for pr in preds)
+    loss_box = 0.0
+    if n_pos:
+        lb, dbox = ciou_loss_grad(np.concatenate(preds), np.concatenate(box_gts))
+        # batch mean, so eta does not depend on batch size
+        loss_box = math.fsum(lb.tolist()) / n
+        start = 0
+        for dr, pa, py, px, sxy, stride, wh in box_slots if want_grad else ():
+            d = dbox[start:start + len(pa)]
+            dr[pa, :4, py, px] = np.concatenate([d[:, :2] * sxy * (1.0 - sxy) * stride,
+                                                 d[:, 2:] * wh], 1)
+            start += len(pa)
+
     loss_obj = math.fsum(obj_terms) / n
     loss_cls = math.fsum(cls_terms) / n
     if want_grad:

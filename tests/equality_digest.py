@@ -9,8 +9,12 @@ sections cover the toy-model builder (demo_setup graphs and anchors), a
 short train_toy run (history, weights and held-out AP), random
 assign_targets calls, the backward pass in train and inference mode, a
 10-frame live loopback, the analyzer CSV and `edgeyolo detect` JSON on the
-416 preset. It uses only names both sides of such a comparison share, and
-it is not collected by pytest (about 20 s on 2 CPUs).
+416 preset. The detection sections run detect_image on 4 frames of the
+detect-416 benchmark model (its weights seed and objectness bias, floor
+0.001) and on 10 toy frames (floors 0.05 and 0.001), soft_nms on random
+sets with score ties, sigma 1e-6 and t_nms 0, and evaluate on random
+fixtures plus evaluate_toy. It uses only names both sides of such a
+comparison share, and it is not collected by pytest (about 40 s on 2 CPUs).
 """
 
 from __future__ import annotations
@@ -25,9 +29,10 @@ import numpy as np
 from edgeyolo import analyzer, cli, images, netdef, nn
 from edgeyolo.anchors import AnchorSet
 from edgeyolo.edgecloud import live
-from edgeyolo.postprocess import Box
-from edgeyolo.training import (ToyScenario, assign_targets, graph_backward,
-                               train_toy)
+from edgeyolo.postprocess import Box, Detection, SoftNmsConfig, evaluate, soft_nms
+from edgeyolo.training import (ToyScenario, assign_targets, detect_image,
+                               evaluate_toy, generate_toy_dataset,
+                               graph_backward, train_toy)
 
 
 def _feed_params(h, g) -> None:
@@ -151,10 +156,72 @@ def _preset_files(h, tmp: Path) -> None:
     h.update(out.read_bytes().replace(str(tmp).encode(), b"<tmp>"))
 
 
+def detect416(h) -> None:
+    # the detect-416 benchmark's model: weights seed 0, objectness bias -7.75
+    g = netdef.load_config(netdef.PRESET_DIR / "edge-yolo-416.net").init_random(0)
+    per = 5 + 80
+    for src in g.head_source_indices():
+        for a in range(6):
+            g.params[src]["b"][a * per + 4] = -7.75
+    priors = AnchorSet.from_file(netdef.PRESET_DIR / "anchors-416.txt",
+                                 input_size=416)
+    g.attach_detection_meta(80, priors, 6)
+    rng = np.random.default_rng(1)
+    nms = SoftNmsConfig(sigma=0.5, t_nms=0.45, score_floor=0.001)
+    for w, hh in ((640, 480), (1280, 720), (416, 416), (500, 300)):
+        _feed_dets(h, detect_image(g, rng.random((3, hh, w), dtype=np.float32),
+                                   0.001, nms))
+
+
+def toy_detections(h) -> None:
+    g, sc = live.demo_setup(0)
+    frames = generate_toy_dataset(5, 10, sc.img_size, sc.num_classes)
+    for floor in (0.05, 0.001):
+        for img, _ in frames:
+            _feed_dets(h, detect_image(g, img, floor))
+
+
+def _random_dets(rng, n: int, n_classes: int) -> list[Detection]:
+    # scores from a small set, so ties are common
+    return [Detection(Box(float(rng.uniform(0, 60)), float(rng.uniform(0, 60)),
+                          float(rng.uniform(1, 30)), float(rng.uniform(1, 30))),
+                      int(rng.integers(0, n_classes)),
+                      float(rng.choice([0.2, 0.5, 0.9, rng.uniform(0, 1)])))
+            for _ in range(n)]
+
+
+def random_soft_nms(h) -> None:
+    rng = np.random.default_rng(77)
+    configs = (SoftNmsConfig(), SoftNmsConfig(sigma=1e-6),
+               SoftNmsConfig(t_nms=0.0, score_floor=0.01))
+    for trial in range(900):
+        dets = _random_dets(rng, int(rng.integers(0, 30)), 3)
+        _feed_dets(h, soft_nms(dets, configs[trial % 3]))
+
+
+def random_evaluations(h) -> None:
+    rng = np.random.default_rng(78)
+    for trial in range(1600):
+        n_img = int(rng.integers(1, 4))
+        preds = [_random_dets(rng, int(rng.integers(0, 8)), 3) for _ in range(n_img)]
+        gts = [[(d.box, d.class_id) for d in _random_dets(rng, int(rng.integers(0, 5)), 3)]
+               for _ in range(n_img)]
+        # boxes shared between a prediction and a gt give IoU ties and exact 1s
+        for p, g_ in zip(preds, gts):
+            if p and g_:
+                g_.append((p[0].box, p[0].class_id))
+        h.update(repr(evaluate(preds, gts, (0.5, 0.1, 0.0, 0.9)[trial % 4],
+                               3 if trial % 2 else None)).encode())
+    g, sc = live.demo_setup(0)
+    data = generate_toy_dataset(6, 16, sc.img_size, sc.num_classes)
+    h.update(repr(evaluate_toy(g, data, 0.001)).encode())
+
+
 def main() -> int:
     total = hashlib.sha256()
     for section in (demo_graphs, short_training, random_assignments,
-                    backward_passes, loopback, preset_files):
+                    backward_passes, loopback, preset_files, detect416,
+                    toy_detections, random_soft_nms, random_evaluations):
         h = hashlib.sha256()
         section(h)
         print(f"{section.__name__:20s} {h.hexdigest()}", flush=True)

@@ -9,6 +9,7 @@ import zlib
 import numpy as np
 import pytest
 
+from edgeyolo import training
 from edgeyolo.edgecloud import live, protocol, sim
 from edgeyolo.edgecloud.protocol import (ACK, DETECT_REQUEST, DETECT_RESULT,
                                          FRAME_UPLOAD, MAX_PAYLOAD,
@@ -355,6 +356,73 @@ def test_cloud_stops_reading_a_desynchronised_stream(head):
         server.join(timeout=30)
         cloud_t.close()
     assert cloud.log[-1].startswith("closing desynchronised stream")
+
+
+def _flip_crc(frame: bytes) -> bytes:
+    return frame[:-4] + bytes([frame[-4] ^ 0x01]) + frame[-3:]
+
+
+@pytest.mark.parametrize("corrupt", [
+    lambda frame: _flip_crc(frame),
+    lambda frame: frame[:4] + bytes([9]) + frame[5:],      # unknown type
+], ids=["bad-crc", "unknown-type"])
+def test_cloud_answers_a_dropped_frame_and_keeps_serving(corrupt):
+    cloud = live.CloudNode(live.demo_setup(seed=0)[0])
+    img = np.full((3, 64, 64), 0.5, dtype=np.float32)
+    good = encode_message(Message(FRAME_UPLOAD, 1, live.pack_frame(
+        img, [(Box(20.0, 20.0, 16.0, 16.0), 1)])))
+    sock, cloud_t, server = _serving(cloud)
+    sock.settimeout(2.0)
+    edge_t = live.Transport(sock)
+    try:
+        sock.sendall(corrupt(good))
+        assert edge_t.recv() == Message(ACK, 1)        # within the 2 s timeout
+        assert server.is_alive()
+        assert cloud.log[-1].startswith("dropping bad frame")
+        sock.sendall(good)
+        assert edge_t.recv() == Message(ACK, 1)
+        assert len(cloud.buffer) == 1
+        # a frame cut short by the end of the stream gets no reply
+        sock.sendall(good[:-5])
+        sock.shutdown(socket.SHUT_WR)
+        server.join(timeout=30)
+        assert not server.is_alive()
+        cloud_t.close()
+        assert edge_t.recv() is None
+    finally:
+        edge_t.close()
+        server.join(timeout=30)
+        cloud_t.close()
+    assert cloud.log[-1].startswith("closing desynchronised stream")
+
+
+def test_cloud_retrains_on_the_toy_recipes_targets(monkeypatch):
+    graph, sc = live.demo_setup(seed=0)
+    cloud = live.CloudNode(graph, retrain_every=5, retrain_steps=1)
+    frames = training.generate_toy_dataset(5, 5, sc.img_size, sc.num_classes)
+    seen = []
+    real_step = live.backward_and_step
+
+    def step(g, batch, targets, opt):
+        seen.append(targets)
+        return real_step(g, batch, targets, opt)
+
+    monkeypatch.setattr(live, "backward_and_step", step)
+    for img, gts in frames:
+        cloud.handle(Message(FRAME_UPLOAD, 1, live.pack_frame(img, gts)))
+    assert len(seen) == 1
+    for got, (img, gts) in zip(seen[0], [f for f in frames if f[1]]):
+        # the wire carries boxes as f32
+        gts = live.unpack_frame(live.pack_frame(img, gts))[1]
+        want = training.assign_targets(gts, graph.anchors, graph.head_grids(),
+                                       (sc.img_size, sc.img_size), sc.num_classes,
+                                       iou_thresh=training.TOY_ANCHOR_IOU)
+        assert got.n_positive == want.n_positive
+        for a, b in zip(got.obj_mask, want.obj_mask):
+            assert np.array_equal(a, b)
+    # the recipe's multi-slot assignment is what differs from single-slot here
+    assert sum(t.n_positive for t in seen[0]) > sum(
+        len(gts) for _, gts in frames)
 
 
 def test_loopback_session_pushes_weights():

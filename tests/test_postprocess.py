@@ -8,8 +8,8 @@ import pytest
 from edgeyolo import nn
 from edgeyolo.netdef import HeadOutput
 from edgeyolo.postprocess import (Box, Detection, SoftNmsConfig, ciou_loss,
-                                  ciou_loss_grad, decode, evaluate, iou,
-                                  sigmoid, soft_nms)
+                                  ciou_loss_grad, corner_iou, decode, evaluate,
+                                  iou, sigmoid, soft_nms)
 
 from conftest import (evaluate_oracle, hard_nms_oracle, iou_oracle,
                       random_boxes, soft_nms_oracle)
@@ -28,6 +28,28 @@ def test_iou_identity_and_disjoint():
 def test_iou_matches_oracle(rng):
     for a, b in zip(random_boxes(rng, 300), random_boxes(rng, 300)):
         assert iou(a, b) == pytest.approx(iou_oracle(a, b), abs=1e-12)
+
+
+def test_corner_iou_broadcasts_and_equals_iou_per_pair(rng):
+    boxes = random_boxes(rng, 12, canvas=50, min_wh=2, max_wh=30)
+    corners = np.array([b.corners() for b in boxes])
+    row = corner_iou(corners[0], corners)
+    assert row.shape == (12,)
+    assert row.tolist() == [iou(boxes[0], b) for b in boxes]
+    grid = corner_iou(corners[:5, None], corners[None, 5:])
+    assert grid.shape == (5, 7)
+    assert grid.tolist() == [[iou(a, b) for b in boxes[5:]] for a in boxes[:5]]
+    assert row[0] == 1.0 and np.all(np.diag(corner_iou(corners[:, None], corners)) == 1.0)
+
+
+def test_corner_iou_zero_width_and_touching_edges_give_zero():
+    a = (0.0, 0.0, 10.0, 10.0)
+    others = np.array([(10.0, 0.0, 20.0, 10.0),     # shares the right edge
+                       (0.0, 10.0, 10.0, 20.0),     # shares the bottom edge
+                       (5.0, 0.0, 5.0, 10.0),       # zero width, inside a
+                       (0.0, 5.0, 10.0, 5.0)])      # zero height, inside a
+    assert corner_iou(a, others).tolist() == [0.0] * 4
+    assert corner_iou(others, others).tolist() == [1.0, 1.0, 0.0, 0.0]
 
 
 # ---------------------------------------------------------------------------
@@ -125,6 +147,19 @@ def test_ciou_grad_matches_finite_difference(rng):
             assert grad[i] == pytest.approx(num, abs=2e-4), (trial, i)
 
 
+def test_ciou_on_rows_equals_row_by_row_calls(rng):
+    pred = np.column_stack([rng.uniform(5, 60, size=(200, 2)),
+                            rng.uniform(1, 40, size=(200, 2))])
+    gt = np.column_stack([rng.uniform(5, 60, size=(200, 2)),
+                          rng.uniform(1, 40, size=(200, 2))])
+    gt[:20] = pred[:20]                      # coincident pairs: alpha is 0
+    loss, grad = ciou_loss_grad(pred, gt)
+    assert loss.shape == (200,) and grad.shape == (200, 4)
+    for i in range(200):
+        li, gi = ciou_loss_grad(pred[i], gt[i])
+        assert li == loss[i] and np.array_equal(gi, grad[i]), i
+
+
 def test_ciou_rejects_degenerate_boxes():
     with pytest.raises(ValueError):
         ciou_loss(Box(5, 5, 0, 2), Box(5, 5, 2, 2))
@@ -173,6 +208,44 @@ def test_soft_nms_gaussian_rescale_hand_case():
     ov = iou(a.box, b.box)
     assert out[0].score == pytest.approx(0.9)
     assert out[1].score == pytest.approx(0.8 * math.exp(-ov / 0.5), abs=1e-12)
+
+
+@pytest.mark.parametrize("order", [(0, 1), (1, 0)])
+def test_soft_nms_equal_scores_keep_the_lower_index(order):
+    pair = [Detection(Box(10, 10, 10, 10), 0, 0.8),
+            Detection(Box(12, 10, 10, 10), 0, 0.8)]
+    dets = [pair[i] for i in order]
+    out = soft_nms(dets, SoftNmsConfig(sigma=0.5, t_nms=0.45, score_floor=0.001))
+    assert out[0] == dets[0]
+    assert out[1].box == dets[1].box
+    assert out[1].score == 0.8 * math.exp(-iou(dets[0].box, dets[1].box) / 0.5)
+
+
+def test_soft_nms_zero_gate_decays_every_rival_exactly():
+    best = Detection(Box(30, 30, 20, 20), 0, 0.95)
+    # mutually disjoint rivals, each decayed once by best only; the last one
+    # misses best, so exp(-0) leaves it as it was
+    rivals = [Detection(Box(22, 22, 10, 10), 0, 0.7),
+              Detection(Box(38, 22, 10, 10), 0, 0.6),
+              Detection(Box(30, 40, 10, 12), 0, 0.5),
+              Detection(Box(90, 90, 10, 10), 0, 0.4)]
+    cfg = SoftNmsConfig(sigma=0.5, t_nms=0.0, score_floor=0.001)
+    out = soft_nms([best] + rivals, cfg)
+    assert out[0] == best
+    want = {d.box: d.score * math.exp(-iou(best.box, d.box) / cfg.sigma) for d in rivals}
+    assert {d.box: d.score for d in out[1:]} == want
+    assert want[rivals[-1].box] == rivals[-1].score
+
+
+def test_soft_nms_drops_a_rival_decayed_below_the_floor_partway():
+    a = Detection(Box(10, 10, 10, 10), 0, 0.9)
+    b = Detection(Box(30, 10, 10, 10), 0, 0.8)       # disjoint from a
+    c = Detection(Box(20, 10, 20, 10), 0, 0.1)       # IoU 0.2 with each
+    cfg = SoftNmsConfig(sigma=0.5, t_nms=0.1, score_floor=0.05)
+    after_a = c.score * math.exp(-iou(a.box, c.box) / cfg.sigma)
+    after_b = after_a * math.exp(-iou(b.box, c.box) / cfg.sigma)
+    assert after_a >= cfg.score_floor > after_b       # the case under test
+    assert soft_nms([a, b, c], cfg) == [a, b]
 
 
 def test_soft_nms_keeps_other_classes(rng):

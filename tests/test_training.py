@@ -10,9 +10,9 @@ from edgeyolo.anchors import AnchorSet
 from edgeyolo.netdef import HeadOutput, parse_config
 from edgeyolo.postprocess import Box, SoftNmsConfig, ciou_loss, decode, soft_nms
 from edgeyolo.training import (OptimizerConfig, ToyScenario,
-                               TrainingDivergedError, assign_targets,
-                               backward_and_step, detect_image, graph_backward,
-                               total_loss, train_toy)
+                               TrainingDivergedError, _loss_and_grads,
+                               assign_targets, backward_and_step, detect_image,
+                               graph_backward, total_loss, train_toy)
 
 
 def _anchor_set(pairs, input_size=416):
@@ -146,6 +146,9 @@ def test_assignment_rejects_bad_gts():
         assign_targets([(Box(500, 100, 10, 10), 0)], anchors, [13], (416, 416), 1)
     with pytest.raises(ValueError):
         assign_targets([(Box(100, 100, 10, 10), 3)], anchors, [13], (416, 416), 2)
+    for w, h in ((math.nan, 10), (10, math.nan), (math.inf, 10)):
+        with pytest.raises(ValueError):
+            assign_targets([(Box(100, 100, w, h), 0)], anchors, [13], (416, 416), 1)
 
 
 # ---------------------------------------------------------------------------
@@ -236,6 +239,18 @@ def test_loss_matches_scalar_oracle(rng):
         assert rep.loss_obj == pytest.approx(obj_v, rel=1e-10), trial
         assert rep.loss_cls == pytest.approx(cls_v, rel=1e-10), trial
         assert rep.loss_total == rep.loss_box + rep.loss_obj + rep.loss_cls
+
+
+def test_box_gradients_of_a_batch_equal_single_image_batches(rng):
+    _, raws = _rand_heads(rng, 3)
+    targets = _rand_targets(rng, 3, TOY_ANCHORS)
+    _, grads = _loss_and_grads(raws, targets, want_grad=True)
+    for b in range(3):
+        _, single = _loss_and_grads([r[b:b + 1] for r in raws], targets[b:b + 1],
+                                    want_grad=True)
+        for si in range(len(raws)):
+            assert np.array_equal(grads[si][b], single[si][0] / 3), (b, si)
+    assert any(np.any(g[:, :4] != 0) for g in grads)   # positives have box grads
 
 
 def test_loss_batch_order_invariance(rng):
