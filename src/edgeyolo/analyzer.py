@@ -8,6 +8,7 @@ a max pool costs K^2*C*Hout*Wout comparisons, both reported in units of 1e9
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -65,9 +66,7 @@ def analyze(g: NetGraph) -> CostReport:
         if sp.kind == "conv":
             cin = g.in_channels_of(sp)
             bflops = 2.0 * sp.size * sp.size * cin * sp.filters * h * w / 1e9
-            params = sp.size * sp.size * cin * sp.filters + sp.filters
-            if sp.batch_norm:
-                params += 4 * sp.filters
+            params = sum(math.prod(s) for s in g.param_shapes(sp).values())
             total_bytes += 4 * params
         elif sp.kind == "max":
             bflops = float(sp.size * sp.size * c * h * w) / 1e9

@@ -27,6 +27,9 @@ class AnchorSet:
         arr = np.asarray(self.centroids, dtype=np.float64)
         if arr.ndim != 2 or arr.shape[1] != 2:
             raise ValueError(f"centroids must be (K, 2), got {arr.shape}")
+        # written so that NaN fails too
+        if not np.all((0 < arr) & (arr < np.inf)):
+            raise ValueError("anchor extents must be positive and finite")
         areas = arr[:, 0] * arr[:, 1]
         if np.any(np.diff(areas) < 0):
             raise ValueError("centroids must be sorted by area ascending")
@@ -132,8 +135,8 @@ def kmeans_anchors(pairs, k: int, seed: int = 0, input_size: int = 416,
     m = len(pts)
     if not 1 <= k <= m:
         raise ValueError(f"need 1 <= k <= {m} samples, got k={k}")
-    if np.any(pts <= 0):
-        raise ValueError("box extents must be strictly positive")
+    if not np.all((0 < pts) & (pts < np.inf)):
+        raise ValueError("box extents must be positive and finite")
     if metric not in ("euclid", "iou"):
         raise ValueError(f"metric must be 'euclid' or 'iou', got {metric!r}")
 

@@ -294,8 +294,11 @@ def cmd_sim(args) -> int:
 
 def cmd_cloud(args) -> int:
     graph, _ = live.demo_setup(args.seed)
-    node = live.CloudNode(graph, retrain_every=args.retrain_every,
-                          retrain_steps=args.retrain_steps)
+    try:
+        node = live.CloudNode(graph, retrain_every=args.retrain_every,
+                              retrain_steps=args.retrain_steps)
+    except ValueError as e:
+        return _fail(str(e))
     srv = socket.create_server(("127.0.0.1", args.port))
     print(f"cloud listening on 127.0.0.1:{args.port}", flush=True)
     try:
@@ -306,7 +309,7 @@ def cmd_cloud(args) -> int:
         srv.close()
     for line in node.log:
         print(line)
-    print(f"served {len(node.buffer)} uploads, "
+    print(f"served {node.uploads} uploads, "
           f"final version {node.version}")
     return 0
 

@@ -3,8 +3,8 @@
 Each side is a single-threaded state machine owning all of its mutable
 state; the transport is a strict request/reply alternation. The edge
 detects its frames locally, uploads each one, and gets back either an ACK
-or a WEIGHT_PUSH carrying a full weight blob. The cloud buffers uploads and
-fine-tunes after every `retrain_every` frames, bumping its model version.
+or a WEIGHT_PUSH carrying a full weight blob. The cloud fine-tunes on every
+`retrain_every` uploads it accepts, then drops them and bumps its version.
 
 FRAME_UPLOAD payload: u16 height, u16 width, u8 channels, u16 gt count,
 then h*w*c bytes of u8 pixels, then per gt (4 x f32 box, u32 class),
@@ -19,12 +19,12 @@ import struct
 
 import numpy as np
 
-from .. import netdef, nn
+from .. import nn
 from ..netdef import NetGraph, WeightsError, load_weights, save_weights
 from ..postprocess import Box, Detection
-from ..training import (TOY_ANCHOR_IOU, OptimizerConfig, ToyScenario,
-                        assign_targets, backward_and_step, detect_image,
-                        generate_toy_dataset, toy_graph)
+from ..training import (TOY_ANCHOR_IOU, OptimizerConfig, TargetAssignment,
+                        ToyScenario, assign_targets, backward_and_step,
+                        detect_image, generate_toy_dataset, toy_graph)
 from . import protocol
 from .protocol import Message
 
@@ -98,13 +98,11 @@ class EdgeNode:
             self.log.append(f"rejected push: version {msg.version} "
                             f"<= current {self.version}")
             return False
-        fresh = netdef.parse_config(self.graph.canonical_text())
         try:
-            load_weights(fresh, msg.payload)
+            load_weights(self.graph, msg.payload)     # all layers or none
         except WeightsError as err:
             self.log.append(f"rejected push: {err}")
             return False
-        self.graph.params = fresh.params     # swap is a single reference move
         self.version = msg.version
         self.log.append(f"applied push: now at version {self.version}")
         return True
@@ -131,58 +129,59 @@ class EdgeNode:
 
 
 class CloudNode:
-    """Buffers uploads and periodically fine-tunes on them."""
+    """Fine-tunes on every `retrain_every` accepted uploads, then drops them."""
 
     def __init__(self, graph: NetGraph, retrain_every: int = 5,
                  retrain_steps: int = 3):
+        if retrain_every < 1:
+            raise ValueError(f"retrain_every must be >= 1, got {retrain_every}")
         self.graph = graph
         self.version = 1
         self.retrain_every = retrain_every
         self.retrain_steps = retrain_steps
         self.opt = OptimizerConfig(eta=5e-4)
-        self.buffer: list[tuple[np.ndarray, list[tuple[Box, int]]]] = []
+        self.uploads = 0                # accepted since the node started
+        self.pending: list[tuple[np.ndarray, TargetAssignment]] = []
         self.log: list[str] = []
 
     def _retrain(self) -> None:
-        w, h, _ = self.graph.input_shape
-        grids = self.graph.head_grids()
-        recent = self.buffer[-self.retrain_every:]
-        usable = [(img, gts) for img, gts in recent if gts]
+        usable = [(img, ta) for img, ta in self.pending if ta.n_positive]
+        self.pending = []
         if not usable:
             return
-        imgs = np.stack([img for img, _ in usable])
-        targets = [assign_targets(gts, self.graph.anchors, grids, (w, h),
-                                  self.graph.num_classes,
-                                  iou_thresh=TOY_ANCHOR_IOU)
-                   for _, gts in usable]
+        imgs, targets = zip(*usable)
+        batch = nn.Tensor(np.stack(imgs))
         for _ in range(self.retrain_steps):
-            backward_and_step(self.graph, nn.Tensor(imgs), targets, self.opt)
+            backward_and_step(self.graph, batch, targets, self.opt)
         self.version += 1
         self.log.append(f"retrained on {len(usable)} frames -> "
                         f"version {self.version}")
 
-    def _check_upload(self, img: np.ndarray, gts: list[tuple[Box, int]]) -> None:
-        """Raise ValueError unless _retrain can train on the frame."""
+    def _check_upload(self, img: np.ndarray, gts: list[tuple[Box, int]]
+                      ) -> TargetAssignment:
+        """The frame's training targets; ValueError unless _retrain can use it."""
         w, h, c = self.graph.input_shape
         if img.shape != (c, h, w):
             raise ValueError(f"frame shape {img.shape} is not the model's {(c, h, w)}")
         if not np.all(np.isfinite([(b.cx, b.cy, b.w, b.h) for b, _ in gts])):
             raise ValueError("a box has a non-finite coordinate")
         # class range, positive extents, centers on the canvas, free slots
-        assign_targets(gts, self.graph.anchors, self.graph.head_grids(), (w, h),
-                       self.graph.num_classes, iou_thresh=TOY_ANCHOR_IOU)
+        return assign_targets(gts, self.graph.anchors, self.graph.head_grids(),
+                              (w, h), self.graph.num_classes,
+                              iou_thresh=TOY_ANCHOR_IOU)
 
     def handle(self, msg: Message) -> Message:
         if msg.msg_type == protocol.FRAME_UPLOAD:
             try:
-                frame = unpack_frame(msg.payload)
-                self._check_upload(*frame)
+                img, gts = unpack_frame(msg.payload)
+                targets = self._check_upload(img, gts)
             except ValueError as err:       # MalformedUploadError included
                 # still answered, so the request/reply alternation holds
                 self.log.append(f"rejected upload: {err}")
                 return Message(protocol.ACK, self.version)
-            self.buffer.append(frame)
-            if len(self.buffer) % self.retrain_every == 0:
+            self.uploads += 1
+            self.pending.append((img, targets))
+            if len(self.pending) == self.retrain_every:
                 before = self.version
                 self._retrain()
                 if self.version != before:

@@ -52,6 +52,10 @@ def read_ppm(path: str | Path) -> np.ndarray:
     fields = []
     for _ in range(3):
         tok, pos = _read_ppm_token(data, pos)
+        # ASCII digits only, no sign; int() refuses over 4,300 digits
+        if not tok.isdigit() or len(tok) > 9 or int(tok) < 1:
+            raise ImageError(f"{path}: width, height and maxval must be "
+                             f"positive integers below 1e9, got {tok[:20]!r}")
         fields.append(int(tok))
     w, h, maxval = fields
     if maxval != 255:

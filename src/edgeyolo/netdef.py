@@ -37,9 +37,6 @@ _HEADER = struct.Struct("<4sIIQ")  # magic, format version, layer count, graph s
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
 
-# share of the old running batch-norm estimate kept at each training step
-BN_MOMENTUM = 0.9
-
 
 class ConfigError(ValueError):
     """Malformed network config; carries the offending line number."""
@@ -252,21 +249,25 @@ class NetGraph:
             return self.input_shape[2]
         return self.out_shapes[sp.index - 1][0]
 
+    def param_shapes(self, sp: LayerSpec) -> dict[str, tuple[int, ...]]:
+        """A conv layer's parameter names and shapes in weight-blob order."""
+        bn = ("gamma", "beta", "mean", "var") if sp.batch_norm else ()
+        return {**{key: (sp.filters,) for key in bn},
+                "w": (sp.filters, self.in_channels_of(sp), sp.size, sp.size),
+                "b": (sp.filters,)}
+
     def init_random(self, seed: int = 0, dtype=np.float32) -> "NetGraph":
         """He-scaled random conv weights; identity batch norm stats."""
         rng = np.random.default_rng(seed)
         for sp in self.conv_layers():
-            cin = self.in_channels_of(sp)
-            std = np.sqrt(2.0 / (sp.size * sp.size * cin))
-            p = {
-                "w": rng.normal(0.0, std, (sp.filters, cin, sp.size, sp.size)).astype(dtype),
-                "b": np.zeros(sp.filters, dtype=dtype),
-            }
-            if sp.batch_norm:
-                p["gamma"] = np.ones(sp.filters, dtype=dtype)
-                p["beta"] = np.zeros(sp.filters, dtype=dtype)
-                p["mean"] = np.zeros(sp.filters, dtype=dtype)
-                p["var"] = np.ones(sp.filters, dtype=dtype)
+            p = {}
+            for k, shape in self.param_shapes(sp).items():
+                if k == "w":
+                    std = np.sqrt(2.0 / (sp.size * sp.size * shape[1]))
+                    p[k] = rng.normal(0.0, std, shape).astype(dtype)
+                else:
+                    fill = np.ones if k in ("gamma", "var") else np.zeros
+                    p[k] = fill(shape, dtype=dtype)
             self.params[sp.index] = p
         return self
 
@@ -438,8 +439,8 @@ def forward_trace(g: NetGraph, x: Tensor, train: bool = False):
     Keeps what graph_backward reads besides x and the graph's shapes: every
     layer output (so each layer's input), batch-norm and activation inputs
     and each pool's argmax (maxpool_forward). With train=True batch norm
-    uses batch statistics and folds them into the running estimates with
-    momentum BN_MOMENTUM.
+    uses batch statistics; backward_and_step folds them into the running
+    estimates, so no call here writes the graph.
     """
     return _run(g, x, keep=True, train=train)
 
@@ -477,11 +478,6 @@ def _run(g: NetGraph, x: Tensor, keep: bool, train: bool = False):
             z = nn.conv2d_raw(src, p["w"], p["b"], sp.stride)
             if sp.batch_norm and train:
                 z, cache["bn"] = nn.batchnorm_train_forward(z, p["gamma"], p["beta"], 1e-5)
-                _, _, _, mu, var = cache["bn"]
-                p["mean"] = (BN_MOMENTUM * p["mean"]
-                             + (1.0 - BN_MOMENTUM) * mu).astype(p["mean"].dtype)
-                p["var"] = (BN_MOMENTUM * p["var"]
-                            + (1.0 - BN_MOMENTUM) * var).astype(p["var"].dtype)
             elif sp.batch_norm:
                 if keep:
                     cache["bn_x"] = z
@@ -523,11 +519,6 @@ def _run(g: NetGraph, x: Tensor, keep: bool, train: bool = False):
 # weights serialization
 # ---------------------------------------------------------------------------
 
-def _param_order(sp: LayerSpec) -> list[str]:
-    keys = ["gamma", "beta", "mean", "var"] if sp.batch_norm else []
-    return keys + ["w", "b"]
-
-
 def save_weights(g: NetGraph, sink: str | Path | BinaryIO) -> int:
     """Write all conv parameters as little-endian f32; returns bytes written."""
     if not g.is_weighted():
@@ -536,7 +527,7 @@ def save_weights(g: NetGraph, sink: str | Path | BinaryIO) -> int:
     buf.write(_HEADER.pack(WEIGHTS_MAGIC, WEIGHTS_VERSION, len(g.layers), g.signature()))
     for sp in g.conv_layers():
         p = g.params[sp.index]
-        for key in _param_order(sp):
+        for key in g.param_shapes(sp):
             buf.write(np.ascontiguousarray(p[key], dtype="<f4").tobytes())
     blob = buf.getvalue()
     if isinstance(sink, (str, Path)):
@@ -563,23 +554,22 @@ def load_weights(g: NetGraph, source: str | Path | bytes) -> NetGraph:
     if sig != g.signature():
         raise SignatureMismatchError(f"graph signature {sig:#018x} does not match "
                                      f"{g.signature():#018x}")
+    # every layer is read and the length checked before g changes
+    params = list(g.params)
     off = _HEADER.size
     for sp in g.conv_layers():
-        cin = g.in_channels_of(sp)
-        shapes = {"gamma": (sp.filters,), "beta": (sp.filters,), "mean": (sp.filters,),
-                  "var": (sp.filters,), "w": (sp.filters, cin, sp.size, sp.size),
-                  "b": (sp.filters,)}
         p = {}
-        for key in _param_order(sp):
-            n_items = int(np.prod(shapes[key]))
+        for key, shape in g.param_shapes(sp).items():
+            n_items = int(np.prod(shape))
             end = off + 4 * n_items
             if end > len(blob):
                 raise TruncatedWeightsError(
                     f"blob ends inside conv layer {sp.index} ({key})")
             p[key] = np.frombuffer(blob, dtype="<f4", count=n_items,
-                                   offset=off).astype(np.float32).reshape(shapes[key])
+                                   offset=off).astype(np.float32).reshape(shape)
             off = end
-        g.params[sp.index] = p
+        params[sp.index] = p
     if off != len(blob):
         raise WeightsError(f"{len(blob) - off} trailing bytes after the last layer")
+    g.params = params
     return g

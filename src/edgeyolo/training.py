@@ -28,6 +28,9 @@ from .postprocess import (Box, Detection, SoftNmsConfig, ciou_loss_grad, decode,
 
 BCE_EPS = 1e-7
 
+# share of the old running batch-norm estimate kept at each training step
+BN_MOMENTUM = 0.9
+
 # the iou_thresh train_toy passes to assign_targets: the toy's k-means
 # anchors sit close together across scales
 TOY_ANCHOR_IOU = 0.6
@@ -348,7 +351,9 @@ def graph_backward(g: NetGraph, x: nn.Tensor, outputs: list[np.ndarray],
 
 def backward_and_step(g: NetGraph, batch: nn.Tensor, targets,
                       opt: OptimizerConfig) -> tuple[NetGraph, LossReport]:
-    """One SGD step over a batch; returns the loss measured before the step."""
+    """One SGD step over a batch; returns the loss measured before the step.
+
+    g is written only after the loss and every gradient are found finite."""
     target_list = _as_target_list(targets, batch.n)
     outputs, caches, heads = netdef.forward_trace(g, batch, train=True)
     raws = [h.raw.data for h in heads]
@@ -364,6 +369,12 @@ def backward_and_step(g: NetGraph, batch: nn.Tensor, targets,
             if not np.all(np.isfinite(grad)):
                 raise TrainingDivergedError(
                     f"non-finite gradient at conv layer {idx} ({name})")
+    for sp, cache in zip(g.layers, caches):
+        if "bn" in cache:
+            p = g.params[sp.index]
+            for key, batch_stat in zip(("mean", "var"), cache["bn"][3:]):
+                p[key] = (BN_MOMENTUM * p[key]
+                          + (1.0 - BN_MOMENTUM) * batch_stat).astype(p[key].dtype)
     for idx, pg in param_grads.items():
         p = g.params[idx]
         for name, grad in pg.items():

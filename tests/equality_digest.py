@@ -9,8 +9,10 @@ sections cover the toy-model builder (demo_setup graphs and anchors), a
 short train_toy run (history, weights and held-out AP), random
 assign_targets calls, the backward pass in train and inference mode, a
 10-frame live loopback, the analyzer CSV and `edgeyolo detect` JSON on the
-416 preset. The detection sections run detect_image on 4 frames of the
-detect-416 benchmark model (its weights seed and objectness bias, floor
+416 preset, and weight blobs (save_weights bytes of the 416 preset and the
+toy model, a load round trip and the analyzer's parameter totals). The
+detection sections run detect_image on 4 frames of the detect-416
+benchmark model (its weights seed and objectness bias, floor
 0.001) and on 10 toy frames (floors 0.05 and 0.001), soft_nms on random
 sets with score ties, sigma 1e-6 and t_nms 0, and evaluate on random
 fixtures plus evaluate_toy. It uses only names both sides of such a
@@ -20,6 +22,7 @@ comparison share, and it is not collected by pytest (about 40 s on 2 CPUs).
 from __future__ import annotations
 
 import hashlib
+import io
 import sys
 import tempfile
 from pathlib import Path
@@ -121,8 +124,12 @@ def loopback(h) -> None:
     edge, cloud, dets = live.run_loopback(n_frames=10, seed=0)
     for frame in dets:
         _feed_dets(h, frame)
+    # the accepted-upload count: `uploads`, or the buffer before it existed
+    uploads = getattr(cloud, "uploads", None)
+    if uploads is None:
+        uploads = len(cloud.buffer)
     h.update(repr((edge.version, cloud.version, edge.log, cloud.log,
-                   len(cloud.buffer))).encode())
+                   uploads)).encode())
     _feed_params(h, edge.graph)
     _feed_params(h, cloud.graph)
 
@@ -154,6 +161,19 @@ def _preset_files(h, tmp: Path) -> None:
                    "--out", str(out), *frames])
     h.update(repr(rc).encode())
     h.update(out.read_bytes().replace(str(tmp).encode(), b"<tmp>"))
+
+
+def weights(h) -> None:
+    for g in (netdef.build_edge_yolo().init_random(0), live.demo_setup(0)[0]):
+        buf = io.BytesIO()
+        netdef.save_weights(g, buf)
+        blob = buf.getvalue()
+        h.update(blob)
+        back = netdef.load_weights(netdef.parse_config(g.canonical_text()), blob)
+        _feed_params(h, back)
+        report = analyzer.analyze(g)
+        h.update(repr((report.total_params, report.total_weight_bytes, len(blob),
+                       [r.params for r in report.layers])).encode())
 
 
 def detect416(h) -> None:
@@ -220,7 +240,7 @@ def random_evaluations(h) -> None:
 def main() -> int:
     total = hashlib.sha256()
     for section in (demo_graphs, short_training, random_assignments,
-                    backward_passes, loopback, preset_files, detect416,
+                    backward_passes, loopback, preset_files, weights, detect416,
                     toy_detections, random_soft_nms, random_evaluations):
         h = hashlib.sha256()
         section(h)

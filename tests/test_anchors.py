@@ -97,8 +97,9 @@ def test_k_larger_than_samples_rejected(rng):
 
 
 def test_nonpositive_dims_rejected():
-    with pytest.raises(ValueError):
-        kmeans_anchors(np.array([[4.0, 0.0], [3.0, 2.0]]), 1, seed=0)
+    for bad in (0.0, -1.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="positive and finite"):
+            kmeans_anchors(np.array([[4.0, bad], [3.0, 2.0]]), 1, seed=0)
 
 
 def test_bad_metric_rejected(rng):
@@ -135,3 +136,6 @@ def test_anchorset_from_text_rejects_garbage():
         AnchorSet.from_text("12,not-a-number\n")
     with pytest.raises(ValueError):
         AnchorSet.from_text("")
+    for text in ("nan,nan\n1,1\n", "-3,4\n1,1\n", "0,4\n", "inf,2\n"):
+        with pytest.raises(ValueError, match="positive and finite"):
+            AnchorSet.from_text(text)

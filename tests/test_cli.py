@@ -129,6 +129,18 @@ def test_detect_unreadable_image(mini, capsys):
     assert "no readable input images" in err
 
 
+def test_detect_skips_frames_with_malformed_headers(mini, capsys, tmp_path):
+    bad = []
+    for i, dims in enumerate((b"ab 4", b"-1 -1", b"0 4")):
+        bad.append(tmp_path / f"bad{i}.ppm")
+        bad[-1].write_bytes(b"P6\n" + dims + b"\n255\n" + bytes(48))
+    rc = cli.main(["detect", *_model_flags(mini), "--score-floor", "0.3",
+                   *map(str, bad), mini["img"]])
+    err = capsys.readouterr().err
+    assert rc == 0
+    assert err.count("warning: skipping") == len(bad)
+
+
 def test_detect_no_images(mini, capsys):
     rc = cli.main(["detect", *_model_flags(mini)])
     assert rc == 1
@@ -308,6 +320,13 @@ def test_sim_net_profile_override(capsys, tmp_path):
 # live roles over loopback TCP
 # ---------------------------------------------------------------------------
 
+def test_cloud_rejects_a_nonpositive_retrain_interval(capsys):
+    # refused before the role listens, so nothing waits for an edge
+    rc = cli.main(["cloud", "--port", "0", "--retrain-every", "0"])
+    assert rc == 1
+    assert "retrain_every must be >= 1" in capsys.readouterr().err
+
+
 def test_cloud_and_edge_roles_over_tcp(capsys):
     with socket.create_server(("127.0.0.1", 0)) as probe:
         port = probe.getsockname()[1]
@@ -335,6 +354,7 @@ def test_cloud_and_edge_roles_over_tcp(capsys):
     assert rc == 0
     assert cloud_rc.get("rc") == 0
     assert "uploaded 9 frames" in printed
+    assert "served 9 uploads" in printed
     version = int(printed.split("model version now ")[1].split()[0])
     assert version >= 2                     # at least one push applied
 

@@ -324,9 +324,9 @@ def test_cloud_rejects_malformed_uploads_and_keeps_serving():
         for i, payload in enumerate(bad):
             edge_t.send(Message(FRAME_UPLOAD, 1, payload))
             assert edge_t.recv() == Message(ACK, 1), i
-            assert cloud.buffer == [], i
+            assert (cloud.uploads, cloud.pending) == (0, []), i
             assert server.is_alive(), i
-        # the buffer still trains: the second good upload gets a push
+        # the cloud still trains: the second good upload gets a push
         edge_t.send(Message(FRAME_UPLOAD, 1, good))
         assert edge_t.recv() == Message(ACK, 1)
         edge_t.send(Message(FRAME_UPLOAD, 1, good))
@@ -336,7 +336,7 @@ def test_cloud_rejects_malformed_uploads_and_keeps_serving():
         server.join(timeout=30)
         cloud_t.close()
     assert not server.is_alive()
-    assert len(cloud.buffer) == 2
+    assert (cloud.uploads, cloud.pending) == (2, [])
     assert sum(line.startswith("rejected upload") for line in cloud.log) == len(bad)
 
 
@@ -381,7 +381,7 @@ def test_cloud_answers_a_dropped_frame_and_keeps_serving(corrupt):
         assert cloud.log[-1].startswith("dropping bad frame")
         sock.sendall(good)
         assert edge_t.recv() == Message(ACK, 1)
-        assert len(cloud.buffer) == 1
+        assert cloud.uploads == len(cloud.pending) == 1
         # a frame cut short by the end of the stream gets no reply
         sock.sendall(good[:-5])
         sock.shutdown(socket.SHUT_WR)
@@ -394,6 +394,83 @@ def test_cloud_answers_a_dropped_frame_and_keeps_serving(corrupt):
         server.join(timeout=30)
         cloud_t.close()
     assert cloud.log[-1].startswith("closing desynchronised stream")
+
+
+class _StubTransport:
+    """serve()'s side of a transport: reads a fixed byte string and records
+    every reply and the largest pending batch seen at any reply."""
+
+    def __init__(self, data: bytes, cloud):
+        self.reader = _RecordingReader(data)
+        self.cloud = cloud
+        self.replies: list[Message] = []
+        self.most_pending = 0
+
+    def recv(self):
+        return protocol.read_message(self.reader)
+
+    def send(self, msg: Message) -> None:
+        self.replies.append(msg)
+        self.most_pending = max(self.most_pending, len(self.cloud.pending))
+
+
+def _whole_frames(data: bytes) -> tuple[int, bool]:
+    """How many frames a reader takes whole from data before it stops, and
+    whether it stops short of a clean end of stream."""
+    count, pos = 0, 0
+    while pos < len(data):
+        if len(data) - pos < 14:
+            return count, True
+        magic, _, _, _, length = struct.unpack_from("<4sBBII", data, pos)
+        if magic != b"EYP1" or length > MAX_PAYLOAD \
+                or pos + 18 + length > len(data):
+            return count, True
+        count += 1
+        pos += 18 + length
+    return count, False
+
+
+def test_serve_survives_1000_fuzzed_frames():
+    graph, sc = live.demo_setup(seed=0)
+    cloud = live.CloudNode(graph, retrain_every=5, retrain_steps=1)
+    uploads = [encode_message(Message(FRAME_UPLOAD, 1, live.pack_frame(img, gts)))
+               for img, gts in training.generate_toy_dataset(
+                   9, 8, sc.img_size, sc.num_classes)]
+    ack = encode_message(Message(ACK, 1))
+    rng = np.random.default_rng(2025)
+    kinds = ("truncate", "bit-flip", "under-cap-length", "over-cap-length", "type-byte")
+    for trial in range(1000):
+        good = uploads[int(rng.integers(len(uploads)))]
+        frame = bytearray(good)
+        kind = kinds[trial % len(kinds)]
+        if kind == "bit-flip":
+            bit = int(rng.integers(8 * len(frame)))
+            frame[bit // 8] ^= 1 << (bit % 8)
+        elif kind == "under-cap-length":
+            frame[10:14] = struct.pack("<I", int(rng.integers(MAX_PAYLOAD + 1)))
+        elif kind == "over-cap-length":
+            frame[10:14] = struct.pack("<I", int(rng.integers(MAX_PAYLOAD + 1, 2**32)))
+        elif kind == "type-byte":
+            frame[4] = int(rng.integers(256))
+        follower = (ack, good)[trial % 2]
+        if kind == "truncate":
+            data = follower + bytes(frame[:int(rng.integers(1, len(frame)))])
+        else:
+            data = bytes(frame) + follower
+        n_logged = len(cloud.log)
+        transport = _StubTransport(data, cloud)
+        cloud.serve(transport)                      # never raises
+        want_replies, desync = _whole_frames(data)
+        assert len(transport.replies) == want_replies, (trial, kind)
+        closed = [line for line in cloud.log[n_logged:]
+                  if line.startswith("closing desynchronised stream")]
+        assert len(closed) == desync, (trial, kind)
+        # serve only returns at the end of the stream or on a desync
+        assert desync or transport.reader.data == b"", (trial, kind)
+        assert max(transport.reader.asked) <= 14 + MAX_PAYLOAD + 4
+        assert transport.most_pending < cloud.retrain_every
+        assert len(cloud.pending) < cloud.retrain_every
+    assert cloud.version > 10                       # it kept fine-tuning
 
 
 def test_cloud_retrains_on_the_toy_recipes_targets(monkeypatch):
@@ -423,6 +500,44 @@ def test_cloud_retrains_on_the_toy_recipes_targets(monkeypatch):
     # the recipe's multi-slot assignment is what differs from single-slot here
     assert sum(t.n_positive for t in seen[0]) > sum(
         len(gts) for _, gts in frames)
+
+
+def test_cloud_trains_on_the_targets_it_checked(monkeypatch):
+    graph, sc = live.demo_setup(seed=0)
+    cloud = live.CloudNode(graph, retrain_every=4, retrain_steps=1)
+    frames = training.generate_toy_dataset(5, 3 * cloud.retrain_every,
+                                           sc.img_size, sc.num_classes)
+    frames[1] = (frames[1][0], [])      # accepted, but nothing to train on
+    checked, trained = [], []
+    real_check, real_step = cloud._check_upload, live.backward_and_step
+
+    def check(img, gts):
+        checked.append(real_check(img, gts))
+        return checked[-1]
+
+    def step(g, batch, targets, opt):
+        trained.append(targets)
+        return real_step(g, batch, targets, opt)
+
+    monkeypatch.setattr(cloud, "_check_upload", check)
+    monkeypatch.setattr(live, "backward_and_step", step)
+    for i, (img, gts) in enumerate(frames, start=1):
+        cloud.handle(Message(FRAME_UPLOAD, 1, live.pack_frame(img, gts)))
+        assert cloud.uploads == i
+        assert len(cloud.pending) == i % cloud.retrain_every
+    assert cloud.version == 4 and len(trained) == 3
+    for k, targets in enumerate(trained):
+        batch = checked[k * cloud.retrain_every:(k + 1) * cloud.retrain_every]
+        want = [ta for ta in batch if ta.n_positive]
+        assert len(targets) == len(want) == 4 - (k == 0)
+        assert all(got is ta for got, ta in zip(targets, want))
+
+
+def test_cloud_needs_a_positive_retrain_interval():
+    graph, _ = live.demo_setup(seed=0)
+    for every in (0, -1):
+        with pytest.raises(ValueError, match="retrain_every"):
+            live.CloudNode(graph, retrain_every=every)
 
 
 def test_loopback_session_pushes_weights():

@@ -58,9 +58,10 @@ def test_ppm_rejects_bad_magic(tmp_path):
 
 def test_ppm_rejects_wrong_maxval(tmp_path):
     p = tmp_path / "m.ppm"
-    p.write_bytes(b"P6\n2 2\n65535\n" + bytes(24))
-    with pytest.raises(ImageError):
-        images.read_ppm(p)
+    for maxval in (b"65535", b"0", b"-255", b"ff"):
+        p.write_bytes(b"P6\n2 2\n" + maxval + b"\n" + bytes(24))
+        with pytest.raises(ImageError):
+            images.read_ppm(p)
 
 
 def test_ppm_rejects_short_raster(tmp_path):
@@ -75,6 +76,11 @@ def test_ppm_rejects_truncated_header(tmp_path):
     p.write_bytes(b"P6\n4")
     with pytest.raises(ImageError):
         images.read_ppm(p)
+    # malformed sizes are header errors too, not reshape or letterbox faults
+    for dims in (b"ab 4", b"-1 -1", b"0 4", b"4 0", b"1" * 5000 + b" 4"):
+        p.write_bytes(b"P6\n" + dims + b"\n255\n" + bytes(48))
+        with pytest.raises(ImageError):
+            images.read_ppm(p)
 
 
 def test_write_ppm_rejects_non_chw():

@@ -358,3 +358,31 @@ def test_error_names_offending_layer():
     with pytest.raises(TruncatedWeightsError) as ei:
         load_weights(parse_config(TINY), blob[:len(blob) - 20])
     assert "layer" in str(ei.value)
+
+
+def _param_bits(g):
+    return [{k: v.tobytes() for k, v in p.items()} if p is not None else None
+            for p in g.params]
+
+
+@pytest.mark.parametrize("spoil", [
+    lambda blob: blob + b"\x00",
+    lambda blob: blob[:len(blob) - 20],         # ends inside the last conv
+], ids=["trailing-byte", "mid-layer-truncation"])
+def test_failed_load_leaves_the_graph_unchanged(spoil):
+    g = build_tiny(seed=1)
+    params, bits = g.params, _param_bits(g)
+    buf = io.BytesIO()
+    save_weights(build_tiny(seed=2), buf)
+    with pytest.raises(netdef.WeightsError):
+        load_weights(g, spoil(buf.getvalue()))
+    assert g.params is params
+    assert _param_bits(g) == bits
+
+
+def test_train_trace_writes_no_parameter(rng):
+    g = build_tiny(seed=1)
+    bits = _param_bits(g)
+    x = nn.Tensor(rng.normal(size=(2, 3, 16, 16)).astype(np.float32))
+    netdef.forward_trace(g, x, train=True)
+    assert _param_bits(g) == bits

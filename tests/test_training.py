@@ -487,6 +487,23 @@ def test_effectively_zero_eta_keeps_weights_bitwise():
                 assert np.array_equal(p[k], s[k]), k
 
 
+def test_diverged_step_leaves_the_graph_unchanged():
+    g, anchors = _mini_graph()
+    g.params[2]["w"] *= 1e6             # head logits far past exp's range
+    x = nn.Tensor(np.random.default_rng(5).uniform(0, 1, size=(2, 3, 16, 16)))
+    targets = [assign_targets([(Box(8.0, 8.0, 6.0, 7.0), 0)], anchors,
+                              g.head_grids(), (16.0, 16.0), 2)] * 2
+    snap = [{k: v.copy() for k, v in p.items()} if p is not None else None
+            for p in g.params]
+    with pytest.raises(TrainingDivergedError, match="numeric range"):
+        backward_and_step(g, x, targets, OptimizerConfig(eta=1e-3))
+    for p, s in zip(g.params, snap):
+        if p is None:
+            continue
+        for k in p:                     # running mean and var included
+            assert np.array_equal(p[k], s[k]), k
+
+
 def test_optimizer_rejects_nonpositive_eta():
     with pytest.raises(ValueError):
         OptimizerConfig(eta=0.0)
