@@ -133,8 +133,8 @@ def read_golden(path: str | Path) -> list[dict]:
     return rows
 
 
-def diff_golden(report: CostReport, golden: str | Path | list[dict],
-                bflops_tol: float = BFLOPS_TOL) -> list[GoldenMismatch]:
+def diff_golden(report: CostReport,
+                golden: str | Path | list[dict]) -> list[GoldenMismatch]:
     """Compare a cost report against a golden table row by row.
 
     Compares kind, output shape and BFLOPS for every golden row; report rows
@@ -159,7 +159,7 @@ def diff_golden(report: CostReport, golden: str | Path | list[dict],
             got = getattr(actual, shape_field)
             if want is not None and want != got:
                 out.append(GoldenMismatch(idx, shape_field, want, got, known))
-        if row["bflops"] is not None and abs(row["bflops"] - actual.bflops) > bflops_tol:
+        if row["bflops"] is not None and abs(row["bflops"] - actual.bflops) > BFLOPS_TOL:
             out.append(GoldenMismatch(idx, "bflops", row["bflops"],
                                       round(actual.bflops, 6), known))
     return out

@@ -299,7 +299,10 @@ def cmd_cloud(args) -> int:
                               retrain_steps=args.retrain_steps)
     except ValueError as e:
         return _fail(str(e))
-    srv = socket.create_server(("127.0.0.1", args.port))
+    try:
+        srv = socket.create_server(("127.0.0.1", args.port))
+    except (OSError, OverflowError) as e:
+        return _fail(f"cannot listen on port {args.port}: {e}")
     print(f"cloud listening on 127.0.0.1:{args.port}", flush=True)
     try:
         conn, peer = srv.accept()

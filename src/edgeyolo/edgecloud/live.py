@@ -135,6 +135,8 @@ class CloudNode:
                  retrain_steps: int = 3):
         if retrain_every < 1:
             raise ValueError(f"retrain_every must be >= 1, got {retrain_every}")
+        if retrain_steps < 1:
+            raise ValueError(f"retrain_steps must be >= 1, got {retrain_steps}")
         self.graph = graph
         self.version = 1
         self.retrain_every = retrain_every
@@ -221,18 +223,16 @@ def demo_setup(seed: int = 0) -> tuple[NetGraph, ToyScenario]:
     return toy_graph(sc, sample), sc
 
 
-def run_loopback(n_frames: int = 10, seed: int = 0, retrain_every: int = 5,
-                 retrain_steps: int = 2) -> tuple[EdgeNode, CloudNode, list]:
-    """Wire an edge and a cloud through an in-process socket pair."""
+def run_loopback() -> tuple[EdgeNode, CloudNode, list]:
+    """Ten seed-0 frames from an edge to a cloud that fine-tunes (two steps)
+    on every five, through an in-process socket pair."""
     import threading
 
-    edge_graph, sc = demo_setup(seed)
-    cloud_graph, _ = demo_setup(seed)
+    edge_graph, sc = demo_setup(0)
+    cloud_graph, _ = demo_setup(0)
     edge = EdgeNode(edge_graph)
-    cloud = CloudNode(cloud_graph, retrain_every=retrain_every,
-                      retrain_steps=retrain_steps)
-    frames = generate_toy_dataset(seed * 1000 + 5, n_frames, sc.img_size,
-                                  sc.num_classes)
+    cloud = CloudNode(cloud_graph, retrain_every=5, retrain_steps=2)
+    frames = generate_toy_dataset(5, 10, sc.img_size, sc.num_classes)
     a, b = socket.socketpair()
     edge_t, cloud_t = Transport(a), Transport(b)
     server = threading.Thread(target=cloud.serve, args=(cloud_t,), daemon=True)

@@ -30,6 +30,17 @@ NANO_INFER_S = 1.0 / 11.4       # ~87.7 ms per frame
 
 EDGE_PROFILES = {"xavier": XAVIER_INFER_S, "nano": NANO_INFER_S}
 
+# the modelled workload; a run varies only the link and the edge latency
+CAPTURE_FPS = 30.0
+FRAME_BYTES = 416 * 416 * 3             # raw frame on the wire
+RESULT_BYTES = 1024
+CLOUD_INFER_S = 0.004
+CLOUD_RETRAIN_S = 2.0
+RETRAIN_INTERVAL_S = 5.0
+WEIGHT_BYTES = 1_000_000
+DUTY_PERIOD_S = 1.0
+ACTIVE_FRAC = 0.8                       # uploads run in the rest of each period
+
 
 @dataclass(frozen=True)
 class NetworkModel:
@@ -54,16 +65,7 @@ class NetworkModel:
 class Scenario:
     path: str = "ecc"                       # "ecc" or "cloud"
     n_frames: int = 300
-    capture_fps: float = 30.0
-    frame_bytes: int = 416 * 416 * 3        # raw frame on the wire
-    result_bytes: int = 1024
     edge_infer_s: float = XAVIER_INFER_S
-    cloud_infer_s: float = 0.004
-    cloud_retrain_s: float = 2.0
-    retrain_interval_s: float = 5.0
-    weight_bytes: int = 1_000_000
-    duty_period_s: float = 1.0
-    active_frac: float = 0.8
     net: NetworkModel = field(default_factory=NetworkModel)
     seed: int = 0
 
@@ -72,8 +74,6 @@ class Scenario:
             raise ValueError(f"path must be 'ecc' or 'cloud', got {self.path!r}")
         if self.n_frames < 1:
             raise ValueError("need at least one frame")
-        if not 0.0 < self.active_frac < 1.0:
-            raise ValueError("active_frac must be in (0,1)")
 
 
 @dataclass(frozen=True)
@@ -142,11 +142,11 @@ class _FifoLink:
 
     def __init__(self, loop: _EventLoop):
         self._loop = loop
-        self._queue: deque[tuple[float, Callable | None, Callable | None]] = deque()
+        self._queue: deque[tuple[float, Callable, Callable]] = deque()
         self._busy = False
 
-    def submit(self, service_s: float, on_start: Callable | None = None,
-               on_done: Callable | None = None) -> None:
+    def submit(self, service_s: float, on_start: Callable,
+               on_done: Callable) -> None:
         self._queue.append((service_s, on_start, on_done))
         self._pump()
 
@@ -155,13 +155,11 @@ class _FifoLink:
             return
         service_s, on_start, on_done = self._queue.popleft()
         self._busy = True
-        if on_start is not None:
-            on_start()
+        on_start()
 
         def finish():
             self._busy = False
-            if on_done is not None:
-                on_done()
+            on_done()
             self._pump()
 
         self._loop.at(self._loop.now + service_s, finish)
@@ -179,16 +177,16 @@ def run_sim(sc: Scenario) -> SimResult:
             delay_s: float | None = None) -> None:
         events.append(TraceEvent(loop.now, node, event, frame_id, delay_s))
 
-    def one_way(extra: float = 0.0) -> float:
+    def one_way() -> float:
         jitter = rng.uniform(0.0, sc.net.jitter_max_s) if sc.net.jitter_max_s > 0 else 0.0
-        return sc.net.rtt_s / 2.0 + jitter + extra
+        return sc.net.rtt_s / 2.0 + jitter
 
     uplink = _FifoLink(loop)
     downlink = _FifoLink(loop)
     cloud_gpu = _FifoLink(loop)
-    up_tx = sc.frame_bytes * 8.0 / sc.net.uplink_bps
-    down_tx = sc.result_bytes * 8.0 / sc.net.downlink_bps
-    weight_tx = sc.weight_bytes * 8.0 / sc.net.downlink_bps
+    up_tx = FRAME_BYTES * 8.0 / sc.net.uplink_bps
+    down_tx = RESULT_BYTES * 8.0 / sc.net.downlink_bps
+    weight_tx = WEIGHT_BYTES * 8.0 / sc.net.downlink_bps
 
     # ---------------- CLOUD path ----------------
 
@@ -215,7 +213,7 @@ def run_sim(sc: Scenario) -> SimResult:
     def cloud_arrival(i: int, capture_t: float) -> None:
         state["uploaded"] += 1
         log("cloud", "upload_end", i)
-        cloud_gpu.submit(sc.cloud_infer_s,
+        cloud_gpu.submit(CLOUD_INFER_S,
                          lambda: log("cloud", "infer_start", i),
                          lambda: send_result(i, capture_t))
 
@@ -236,11 +234,10 @@ def run_sim(sc: Scenario) -> SimResult:
     # ---------------- ECC path ----------------
 
     upload_queue: deque[int] = deque()
-    idle_len = sc.duty_period_s * (1.0 - sc.active_frac)
-    active_len = sc.duty_period_s * sc.active_frac
+    active_len = DUTY_PERIOD_S * ACTIVE_FRAC
 
     def is_idle(t: float) -> bool:
-        return (t % sc.duty_period_s) >= active_len - 1e-12
+        return (t % DUTY_PERIOD_S) >= active_len - 1e-12
 
     def ecc_capture(i: int, capture_t: float):
         def handler():
@@ -280,21 +277,19 @@ def run_sim(sc: Scenario) -> SimResult:
 
     def schedule_windows() -> None:
         # lazily emit duty-cycle boundaries while upload work remains
-        period = sc.duty_period_s
-
         def idle_start(k: int):
             def handler():
                 log("edge", "mode_idle")
                 pump_uploads()
                 if upload_queue or uploading["busy"] or \
                         state["captured"] < sc.n_frames:
-                    loop.at(k * period + period, active_start(k + 1))
+                    loop.at((k + 1) * DUTY_PERIOD_S, active_start(k + 1))
             return handler
 
         def active_start(k: int):
             def handler():
                 log("edge", "mode_active")
-                loop.at(k * period + active_len, idle_start(k))
+                loop.at(k * DUTY_PERIOD_S + active_len, idle_start(k))
             return handler
 
         log("edge", "mode_active")
@@ -310,9 +305,9 @@ def run_sim(sc: Scenario) -> SimResult:
                     state["retraining"] = True
                     state["retrained_at"] = state["uploaded"]
                     log("cloud", "retrain_start")
-                    loop.at(loop.now + sc.cloud_retrain_s, retrain_done)
+                    loop.at(loop.now + CLOUD_RETRAIN_S, retrain_done)
                 if work_left:
-                    loop.at((k + 1) * sc.retrain_interval_s, check(k + 1))
+                    loop.at((k + 1) * RETRAIN_INTERVAL_S, check(k + 1))
             return handler
 
         def retrain_done():
@@ -328,11 +323,11 @@ def run_sim(sc: Scenario) -> SimResult:
 
             downlink.submit(weight_tx, lambda: log("cloud", "push_start"), tx_done)
 
-        loop.at(sc.retrain_interval_s, check(1))
+        loop.at(RETRAIN_INTERVAL_S, check(1))
 
     # ---------------- wiring ----------------
 
-    interval = 1.0 / sc.capture_fps
+    interval = 1.0 / CAPTURE_FPS
     for i in range(sc.n_frames):
         t = i * interval
         handler = cloud_capture(i, t) if sc.path == "cloud" else ecc_capture(i, t)

@@ -110,26 +110,20 @@ class LetterboxTransform:
     pad_x: float
     pad_y: float
 
-    def box_to_canvas(self, b: Box) -> Box:
-        return Box(b.cx * self.scale + self.pad_x,
-                   b.cy * self.scale + self.pad_y,
-                   b.w * self.scale, b.h * self.scale)
-
     def box_to_source(self, b: Box) -> Box:
         return Box((b.cx - self.pad_x) / self.scale,
                    (b.cy - self.pad_y) / self.scale,
                    b.w / self.scale, b.h / self.scale)
 
 
-def letterbox(img: np.ndarray, size: int,
-              fill: float = 0.5) -> tuple[np.ndarray, LetterboxTransform]:
+def letterbox(img: np.ndarray, size: int) -> tuple[np.ndarray, LetterboxTransform]:
     """Aspect-preserving resize onto a size x size canvas, gray padding."""
     c, h, w = img.shape
     scale = min(size / w, size / h)
     new_w = max(1, round(w * scale))
     new_h = max(1, round(h * scale))
     resized = resize_nearest(img, new_w, new_h)
-    canvas = np.full((c, size, size), fill, dtype=np.float32)
+    canvas = np.full((c, size, size), 0.5, dtype=np.float32)
     pad_x = (size - new_w) // 2
     pad_y = (size - new_h) // 2
     canvas[:, pad_y:pad_y + new_h, pad_x:pad_x + new_w] = resized
@@ -146,8 +140,7 @@ _PALETTE = [(1.0, 0.2, 0.2), (0.2, 1.0, 0.2), (0.3, 0.4, 1.0),
             (1.0, 0.9, 0.1), (1.0, 0.4, 1.0), (0.2, 1.0, 1.0)]
 
 
-def draw_detections(img: np.ndarray, dets: list[Detection],
-                    thickness: int = 1) -> np.ndarray:
+def draw_detections(img: np.ndarray, dets: list[Detection]) -> np.ndarray:
     """Returns a copy with one colored box outline per detection."""
     out = img.copy()
     _, h, w = out.shape
@@ -157,12 +150,9 @@ def draw_detections(img: np.ndarray, dets: list[Detection],
         x1 = int(max(0, min(w - 1, d.box.cx + d.box.w / 2)))
         y0 = int(max(0, min(h - 1, d.box.cy - d.box.h / 2)))
         y1 = int(max(0, min(h - 1, d.box.cy + d.box.h / 2)))
-        for k in range(thickness):
-            ya, yb = min(y0 + k, h - 1), max(y1 - k, 0)
-            xa, xb = min(x0 + k, w - 1), max(x1 - k, 0)
-            for ch in range(3):
-                out[ch, ya, x0:x1 + 1] = color[ch]
-                out[ch, yb, x0:x1 + 1] = color[ch]
-                out[ch, y0:y1 + 1, xa] = color[ch]
-                out[ch, y0:y1 + 1, xb] = color[ch]
+        for ch in range(3):
+            out[ch, y0, x0:x1 + 1] = color[ch]
+            out[ch, y1, x0:x1 + 1] = color[ch]
+            out[ch, y0:y1 + 1, x0] = color[ch]
+            out[ch, y0:y1 + 1, x1] = color[ch]
     return out

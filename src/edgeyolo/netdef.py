@@ -19,7 +19,7 @@ Config grammar (one layer per line, `#` starts a comment):
 
 from __future__ import annotations
 
-import io
+import contextlib
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -91,9 +91,12 @@ class LayerSpec:
     filters: int = 0              # conv output channels
     route_refs: tuple[int, ...] = ()
     split: int | None = None      # channel half for split routes
-    batch_norm: bool = False
-    activation: str = "linear"
+    batch_norm: bool = False      # conv only; also selects leaky-relu
     scale_index: int = -1         # yolo_head only
+
+    @property
+    def activation(self) -> str:
+        return "leaky_relu" if self.batch_norm else "linear"
 
     def render(self) -> str:
         if self.kind == "conv":
@@ -357,10 +360,8 @@ def parse_config(text: str) -> NetGraph:
                 raise ConfigError(f"bad filter count {toks[2]!r}", line=line_no) from None
             if filters < 1:
                 raise ConfigError(f"filters must be >= 1, got {filters}", line=line_no)
-            linear = len(toks) == 4
             specs.append(LayerSpec(idx, "conv", size=k, stride=s, filters=filters,
-                                   batch_norm=not linear,
-                                   activation="linear" if linear else "leaky_relu"))
+                                   batch_norm=len(toks) == 3))
         elif word == "max":
             if len(toks) != 2:
                 raise ConfigError("max takes <K>x<K>/<s>", line=line_no)
@@ -523,18 +524,20 @@ def save_weights(g: NetGraph, sink: str | Path | BinaryIO) -> int:
     """Write all conv parameters as little-endian f32; returns bytes written."""
     if not g.is_weighted():
         raise ValueError("cannot save an unweighted graph")
-    buf = io.BytesIO()
-    buf.write(_HEADER.pack(WEIGHTS_MAGIC, WEIGHTS_VERSION, len(g.layers), g.signature()))
-    for sp in g.conv_layers():
-        p = g.params[sp.index]
-        for key in g.param_shapes(sp):
-            buf.write(np.ascontiguousarray(p[key], dtype="<f4").tobytes())
-    blob = buf.getvalue()
-    if isinstance(sink, (str, Path)):
-        Path(sink).write_bytes(blob)
-    else:
-        sink.write(blob)
-    return len(blob)
+    # straight from each tensor's buffer: the blob is never held whole
+    is_path = isinstance(sink, (str, Path))
+    with open(sink, "wb") if is_path else contextlib.nullcontext(sink) as out:
+        header = _HEADER.pack(WEIGHTS_MAGIC, WEIGHTS_VERSION, len(g.layers),
+                              g.signature())
+        out.write(header)
+        written = len(header)
+        for sp in g.conv_layers():
+            p = g.params[sp.index]
+            for key in g.param_shapes(sp):
+                data = np.ascontiguousarray(p[key], dtype="<f4")
+                out.write(data)
+                written += data.nbytes
+    return written
 
 
 def load_weights(g: NetGraph, source: str | Path | bytes) -> NetGraph:

@@ -13,6 +13,8 @@ from typing import Sequence
 
 import numpy as np
 
+LEAKY_SLOPE = 0.1
+
 
 class ShapeError(ValueError):
     """Operand shapes are incompatible with the requested kernel."""
@@ -150,21 +152,20 @@ def batchnorm_train_backward(dy: np.ndarray, cache: tuple) -> tuple[np.ndarray, 
     return dx, dgamma, dbeta
 
 
-def activate_raw(x: np.ndarray, kind: str, alpha: float = 0.1) -> np.ndarray:
+def activate_raw(x: np.ndarray, kind: str) -> np.ndarray:
     if kind == "linear":
         return x
     if kind == "leaky_relu":
-        if not 0.0 < alpha < 1.0:
-            raise ValueError(f"leaky slope must be in (0,1), got {alpha}")
-        return np.maximum(x, alpha * x)   # bitwise where(x > 0, x, alpha * x)
+        # bitwise where(x > 0, x, LEAKY_SLOPE * x)
+        return np.maximum(x, LEAKY_SLOPE * x)
     raise ValueError(f"unknown activation {kind!r}")
 
 
-def activate_backward(dy: np.ndarray, x: np.ndarray, kind: str, alpha: float = 0.1) -> np.ndarray:
+def activate_backward(dy: np.ndarray, x: np.ndarray, kind: str) -> np.ndarray:
     if kind == "linear":
         return dy
     if kind == "leaky_relu":
-        return dy * np.where(x > 0, 1.0, alpha)
+        return dy * np.where(x > 0, 1.0, LEAKY_SLOPE)
     raise ValueError(f"unknown activation {kind!r}")
 
 

@@ -15,12 +15,17 @@ detection sections run detect_image on 4 frames of the detect-416
 benchmark model (its weights seed and objectness bias, floor
 0.001) and on 10 toy frames (floors 0.05 and 0.001), soft_nms on random
 sets with score ties, sigma 1e-6 and t_nms 0, and evaluate on random
-fixtures plus evaluate_toy. It uses only names both sides of such a
-comparison share, and it is not collected by pytest (about 40 s on 2 CPUs).
+fixtures plus evaluate_toy. The simulator section hashes run_sim traces,
+delays, upload counts and model versions over both paths, both edge
+profiles, two seeds and two links, one 10,000-frame cloud run, and
+`edgeyolo sim --trace --delays` output for both paths. It uses only names
+both sides of such a comparison share, and it is not collected by pytest
+(about 20 s on 2 CPUs).
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import io
 import sys
@@ -31,7 +36,7 @@ import numpy as np
 
 from edgeyolo import analyzer, cli, images, netdef, nn
 from edgeyolo.anchors import AnchorSet
-from edgeyolo.edgecloud import live
+from edgeyolo.edgecloud import live, sim
 from edgeyolo.postprocess import Box, Detection, SoftNmsConfig, evaluate, soft_nms
 from edgeyolo.training import (ToyScenario, assign_targets, detect_image,
                                evaluate_toy, generate_toy_dataset,
@@ -121,7 +126,7 @@ def backward_passes(h) -> None:
 
 
 def loopback(h) -> None:
-    edge, cloud, dets = live.run_loopback(n_frames=10, seed=0)
+    edge, cloud, dets = live.run_loopback()
     for frame in dets:
         _feed_dets(h, frame)
     # the accepted-upload count: `uploads`, or the buffer before it existed
@@ -237,11 +242,41 @@ def random_evaluations(h) -> None:
     h.update(repr(evaluate_toy(g, data, 0.001)).encode())
 
 
+def _feed_sim(h, res) -> None:
+    h.update(res.to_csv().encode())
+    h.update(repr((res.delays, res.uploaded_frames,
+                   res.final_model_version)).encode())
+
+
+def simulator(h) -> None:
+    links = (sim.NetworkModel(), sim.NetworkModel(jitter_max_s=0.01, loss_rate=0.05))
+    for path in ("cloud", "ecc"):
+        for profile in sorted(sim.EDGE_PROFILES):
+            for seed in (0, 7):
+                for net in links:
+                    _feed_sim(h, sim.run_sim(sim.Scenario(
+                        path=path, n_frames=300, seed=seed, net=net,
+                        edge_infer_s=sim.EDGE_PROFILES[profile])))
+    _feed_sim(h, sim.run_sim(sim.Scenario(path="cloud", n_frames=10_000)))
+    with tempfile.TemporaryDirectory() as tmp:
+        for path in ("cloud", "ecc"):
+            trace, delays = Path(tmp) / "trace.csv", Path(tmp) / "delays.csv"
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                rc = cli.main(["sim", "--path", path, "--trace", str(trace),
+                               "--delays", str(delays)])
+            h.update(repr(rc).encode())
+            h.update(out.getvalue().encode())
+            h.update(trace.read_bytes())
+            h.update(delays.read_bytes())
+
+
 def main() -> int:
     total = hashlib.sha256()
     for section in (demo_graphs, short_training, random_assignments,
                     backward_passes, loopback, preset_files, weights, detect416,
-                    toy_detections, random_soft_nms, random_evaluations):
+                    toy_detections, random_soft_nms, random_evaluations,
+                    simulator):
         h = hashlib.sha256()
         section(h)
         print(f"{section.__name__:20s} {h.hexdigest()}", flush=True)

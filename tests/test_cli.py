@@ -325,6 +325,18 @@ def test_cloud_rejects_a_nonpositive_retrain_interval(capsys):
     rc = cli.main(["cloud", "--port", "0", "--retrain-every", "0"])
     assert rc == 1
     assert "retrain_every must be >= 1" in capsys.readouterr().err
+    rc = cli.main(["cloud", "--port", "0", "--retrain-steps", "0"])
+    assert rc == 1
+    assert "retrain_steps must be >= 1" in capsys.readouterr().err
+
+
+def test_cloud_reports_a_port_it_cannot_listen_on(capsys):
+    with socket.create_server(("127.0.0.1", 0)) as taken:
+        rc = cli.main(["cloud", "--port", str(taken.getsockname()[1])])
+    assert rc == 1
+    assert "error:" in capsys.readouterr().err
+    assert cli.main(["cloud", "--port", "70000"]) == 1
+    assert "error:" in capsys.readouterr().err
 
 
 def test_cloud_and_edge_roles_over_tcp(capsys):

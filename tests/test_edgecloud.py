@@ -218,11 +218,11 @@ def test_cloud_uploads_every_frame(pair_300):
     assert cloud.uploaded_frames == 300
     # ECC defers uploads to idle windows but drains the whole queue eventually
     assert ecc.uploaded_frames == 300
-    active_len = 1.0 * 0.8     # Scenario defaults: duty_period_s=1.0, active_frac=0.8
+    active_len = sim.DUTY_PERIOD_S * sim.ACTIVE_FRAC
     starts = [e.time_s for e in ecc.events
               if e.node == "edge" and e.event == "upload_start"]
     assert starts
-    assert all(t % 1.0 >= active_len - 1e-9 for t in starts)
+    assert all(t % sim.DUTY_PERIOD_S >= active_len - 1e-9 for t in starts)
 
 
 def test_ten_thousand_frames_under_five_seconds():
@@ -538,12 +538,13 @@ def test_cloud_needs_a_positive_retrain_interval():
     for every in (0, -1):
         with pytest.raises(ValueError, match="retrain_every"):
             live.CloudNode(graph, retrain_every=every)
+    for steps in (0, -1):
+        with pytest.raises(ValueError, match="retrain_steps"):
+            live.CloudNode(graph, retrain_steps=steps)
 
 
 def test_loopback_session_pushes_weights():
-    edge, cloud, detections = live.run_loopback(n_frames=10, seed=0,
-                                                retrain_every=5,
-                                                retrain_steps=2)
+    edge, cloud, detections = live.run_loopback()
     assert len(detections) == 10
     assert cloud.version == edge.version
     assert edge.version >= 2            # at least one push applied

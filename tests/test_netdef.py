@@ -44,6 +44,17 @@ def test_roundtrip_canonical_text():
     assert again.signature() == g.signature()
 
 
+def test_conv_activation_follows_batch_norm():
+    # `linear` means no batch norm and an identity activation: one fact
+    g = parse_config(TINY)
+    plain, linear = g.layers[0], g.layers[3]
+    assert (plain.batch_norm, plain.activation) == (True, "leaky_relu")
+    assert (linear.batch_norm, linear.activation) == (False, "linear")
+    with pytest.raises(TypeError):
+        netdef.LayerSpec(0, "conv", size=1, stride=1, filters=2,
+                         batch_norm=False, activation="leaky_relu")
+
+
 def test_signature_ignores_comments_only():
     sig_a = parse_config(TINY).signature()
     sig_b = parse_config("# header comment\n" + TINY).signature()
@@ -275,6 +286,29 @@ def test_save_load_roundtrip_bitwise():
             continue
         for key, arr in params.items():
             assert np.array_equal(arr, g2.params[idx][key]), (idx, key)
+
+
+class _RecordingSink:
+    def __init__(self):
+        self.writes: list[bytes] = []
+
+    def write(self, data) -> int:
+        self.writes.append(bytes(data))
+        return len(data)
+
+
+def test_save_weights_writes_one_tensor_at_a_time(tmp_path):
+    g = build_tiny(seed=1)
+    tensors = [np.asarray(g.params[sp.index][k], dtype="<f4")
+               for sp in g.conv_layers() for k in g.param_shapes(sp)]
+    want = struct.pack("<4sIIQ", b"EYWT", 1, len(g.layers), g.signature()) \
+        + b"".join(t.tobytes() for t in tensors)
+    sink = _RecordingSink()
+    assert save_weights(g, sink) == len(want)
+    assert b"".join(sink.writes) == want
+    assert max(len(w) for w in sink.writes) <= max(t.nbytes for t in tensors)
+    assert save_weights(g, tmp_path / "w.bin") == len(want)
+    assert (tmp_path / "w.bin").read_bytes() == want
 
 
 def test_roundtrip_many_random_graphs(rng):

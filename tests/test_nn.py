@@ -102,18 +102,18 @@ def test_leaky_slope():
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_leaky_relu_bits_match_where_formula(rng, dtype):
-    # activate_raw takes max(x, alpha*x); the formula it replaced is pinned
-    # here bit for bit, signed zeros, NaN, infinities and subnormals included
+    # activate_raw takes max(x, LEAKY_SLOPE*x); the formula it replaced is
+    # pinned here bit for bit, signed zeros, NaN, infinities and subnormals
+    # included
     tiny = np.finfo(dtype).smallest_subnormal
     special = np.array([-0.0, 0.0, np.nan, -np.nan, np.inf, -np.inf,
                         tiny, -tiny, 1.0, -1.0], dtype=dtype)
     x = np.concatenate([special, (rng.normal(size=990) * 10.0 ** rng.integers(
         -30, 30, size=990)).astype(dtype)])
-    for alpha in (0.1, 0.5, 0.999):
-        old = np.where(x > 0, x, alpha * x)
-        new = nn.activate_raw(x, "leaky_relu", alpha)
-        assert new.dtype == old.dtype
-        assert new.tobytes() == old.tobytes()
+    old = np.where(x > 0, x, nn.LEAKY_SLOPE * x)
+    new = nn.activate_raw(x, "leaky_relu")
+    assert new.dtype == old.dtype
+    assert new.tobytes() == old.tobytes()
 
 
 def test_batchnorm_infer_is_affine(rng):
