@@ -145,11 +145,15 @@ def draw_detections(img: np.ndarray, dets: list[Detection]) -> np.ndarray:
     out = img.copy()
     _, h, w = out.shape
     for d in dets:
+        left, right = d.box.cx - d.box.w / 2, d.box.cx + d.box.w / 2
+        top, bottom = d.box.cy - d.box.h / 2, d.box.cy + d.box.h / 2
+        if right < 0 or bottom < 0 or left >= w or top >= h:
+            continue        # wholly off the canvas: clamping would paint a border line
         color = _PALETTE[d.class_id % len(_PALETTE)]
-        x0 = int(max(0, min(w - 1, d.box.cx - d.box.w / 2)))
-        x1 = int(max(0, min(w - 1, d.box.cx + d.box.w / 2)))
-        y0 = int(max(0, min(h - 1, d.box.cy - d.box.h / 2)))
-        y1 = int(max(0, min(h - 1, d.box.cy + d.box.h / 2)))
+        x0 = int(max(0, min(w - 1, left)))
+        x1 = int(max(0, min(w - 1, right)))
+        y0 = int(max(0, min(h - 1, top)))
+        y1 = int(max(0, min(h - 1, bottom)))
         for ch in range(3):
             out[ch, y0, x0:x1 + 1] = color[ch]
             out[ch, y1, x0:x1 + 1] = color[ch]

@@ -5,6 +5,21 @@ has a matching backward. The one inference-only kernel, `maxpool_raw`, has
 none: it skips the argmax that `maxpool_backward` needs. Forwards are pure
 functions of their inputs, so identical inputs always produce
 bitwise-identical outputs.
+
+Convolutions are lowered to GEMMs (im2col: Chellapilla et al. 2006; cuDNN,
+Chetlur et al. 2014). `_columns` copies the zero-padded input into a column
+matrix of shape (n, cin*k*k, hout*wout), one strided copy per kernel tap,
+with rows in the weights' (c, ki, kj) order, so the conv is
+`w.reshape(cout, cin*k*k)` times it. A 1x1/1 conv uses its input as the
+column matrix: no pad and no copy. `conv2d_raw` builds the matrix in bands
+of output rows whose columns fit in COLUMN_BAND_BYTES (one row at least),
+with one matmul per band into the output, so a 416 frame never holds its
+whole column matrix.
+`conv2d_backward` builds it whole; one matmul gives dW, one gives the dX
+columns, and a k*k scatter-add (col2im) folds those onto the padded input.
+
+Dtypes: outputs and gradients keep the dtype of the float inputs. No kernel
+multiplies by a float64 constant array, so a float32 graph trains in float32.
 """
 
 from __future__ import annotations
@@ -14,6 +29,8 @@ from typing import Sequence
 import numpy as np
 
 LEAKY_SLOPE = 0.1
+# cap on the column matrix of one conv2d_raw band of output rows, in bytes
+COLUMN_BAND_BYTES = 4 << 20
 
 
 class ShapeError(ValueError):
@@ -76,17 +93,23 @@ def conv2d_raw(x: np.ndarray, w: np.ndarray, b: np.ndarray, stride: int) -> np.n
     cout, cin_w, k, _ = w.shape
     if cin != cin_w:
         raise ShapeError(f"conv expects {cin_w} input channels, got {cin}")
-    pad = k // 2
     hout = conv_out_size(h, k, stride)
     wout = conv_out_size(wd, k, stride)
-    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    acc = np.zeros((n, cout, hout * wout), dtype=np.result_type(x, w))
-    for ki in range(k):
-        for kj in range(k):
-            patch = xp[:, :, ki:ki + stride * hout:stride, kj:kj + stride * wout:stride]
-            acc += np.matmul(w[:, :, ki, kj], patch.reshape(n, cin, -1))
-    acc += b[None, :, None]
-    return acc.reshape(n, cout, hout, wout)
+    xp = _pad(x, k // 2)
+    wm = w.reshape(cout, cin * k * k)
+    y = np.empty((n, cout, hout * wout), dtype=np.result_type(x, w))
+    if k == 1 and stride == 1:
+        band = hout             # the input is its own column matrix
+    else:
+        band = max(1, COLUMN_BAND_BYTES // (n * cin * k * k * wout * x.itemsize))
+    for r0 in range(0, hout, band):
+        r1 = min(r0 + band, hout)
+        # one statement, so a band's columns are freed before the next is built
+        np.matmul(wm, _columns(xp[:, :, r0 * stride:(r1 - 1) * stride + k],
+                               k, stride, r1 - r0, wout),
+                  out=y[:, :, r0 * wout:r1 * wout])
+    y += b[None, :, None]
+    return y.reshape(n, cout, hout, wout)
 
 
 def conv2d_backward(dy: np.ndarray, x: np.ndarray, w: np.ndarray,
@@ -95,21 +118,39 @@ def conv2d_backward(dy: np.ndarray, x: np.ndarray, w: np.ndarray,
     cout, _, k, _ = w.shape
     pad = k // 2
     hout, wout = dy.shape[2], dy.shape[3]
-    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    dxp = np.zeros_like(xp)
-    dw = np.zeros_like(w)
-    dyr = dy.reshape(n, cout, -1)
+    dyr = dy.reshape(n, cout, hout * wout)
+    cols = _columns(_pad(x, pad), k, stride, hout, wout)
+    dw = np.matmul(dyr, cols.transpose(0, 2, 1)).sum(axis=0)
+    dcols = np.matmul(w.reshape(cout, cin * k * k).T, dyr)
+    db = dy.sum(axis=(0, 2, 3))
+    dxp = np.zeros((n, cin, h + 2 * pad, wd + 2 * pad), dtype=x.dtype)
+    taps = dcols.reshape(n, cin, k, k, hout, wout)
     for ki in range(k):
         for kj in range(k):
-            sl = (slice(None), slice(None),
-                  slice(ki, ki + stride * hout, stride),
-                  slice(kj, kj + stride * wout, stride))
-            patch = xp[sl].reshape(n, cin, -1)
-            dw[:, :, ki, kj] = np.einsum("nol,ncl->oc", dyr, patch)
-            dxp[sl] += np.matmul(w[:, :, ki, kj].T, dyr).reshape(n, cin, hout, wout)
-    db = dy.sum(axis=(0, 2, 3))
+            dxp[:, :, ki:ki + stride * hout:stride,
+                kj:kj + stride * wout:stride] += taps[:, :, ki, kj]
     dx = dxp[:, :, pad:pad + h, pad:pad + wd]
-    return dx, dw, db
+    return dx, dw.reshape(w.shape).astype(w.dtype, copy=False), db
+
+
+def _pad(x: np.ndarray, pad: int) -> np.ndarray:
+    return np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else x
+
+
+def _columns(xp: np.ndarray, k: int, stride: int, hout: int, wout: int) -> np.ndarray:
+    """Column matrix (n, cin*k*k, hout*wout) of a padded input, rows in w's (c, ki, kj) order.
+
+    One strided copy per kernel tap; a 1x1/1 conv gets a view of xp.
+    """
+    n, cin = xp.shape[:2]
+    if k == 1:
+        return xp[:, :, ::stride, ::stride].reshape(n, cin, hout * wout)
+    cols = np.empty((n, cin, k, k, hout, wout), dtype=xp.dtype)
+    for ki in range(k):
+        for kj in range(k):
+            cols[:, :, ki, kj] = xp[:, :, ki:ki + stride * hout:stride,
+                                    kj:kj + stride * wout:stride]
+    return cols.reshape(n, cin * k * k, hout * wout)
 
 
 def batchnorm_infer_raw(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
@@ -165,7 +206,8 @@ def activate_backward(dy: np.ndarray, x: np.ndarray, kind: str) -> np.ndarray:
     if kind == "linear":
         return dy
     if kind == "leaky_relu":
-        return dy * np.where(x > 0, 1.0, LEAKY_SLOPE)
+        # LEAKY_SLOPE * dy stays in dy's dtype, as in activate_raw
+        return np.where(x > 0, dy, LEAKY_SLOPE * dy)
     raise ValueError(f"unknown activation {kind!r}")
 
 

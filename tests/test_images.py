@@ -202,3 +202,11 @@ def test_draw_detections_clamps_out_of_bounds():
     out = images.draw_detections(img, [d])
     assert out.shape == img.shape
     assert np.isfinite(out).all()
+
+
+@pytest.mark.parametrize("cx,cy", [(-40.0, 10.0), (70.0, 10.0), (15.0, -30.0), (15.0, 45.0)])
+def test_draw_detections_skips_box_off_canvas(cx, cy):
+    # a 10x6 box wholly outside a 30x20 image paints nothing, not a border line
+    img = np.zeros((3, 20, 30), dtype=np.float32)
+    out = images.draw_detections(img, [Detection(Box(cx, cy, 10.0, 6.0), 0, 0.9)])
+    assert np.all(out == 0.0)

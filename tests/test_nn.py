@@ -79,6 +79,37 @@ def test_maxpool_raw_matches_oracle(rng, dtype, k, stride, h, w):
     assert np.array_equal(got, nn.maxpool_forward(x, k, stride)[0])
 
 
+@pytest.mark.parametrize("stride", [1, 2])
+def test_conv_in_row_bands_matches_oracle(rng, stride):
+    # 64x63 input with 64 channels: the column matrix exceeds one band, and
+    # the last band is partial
+    x = rng.normal(size=(1, 64, 64, 63))
+    w = rng.normal(size=(2, 64, 3, 3))
+    b = rng.normal(size=2)
+    hout, wout = nn.conv_out_size(64, 3, stride), nn.conv_out_size(63, 3, stride)
+    band = nn.COLUMN_BAND_BYTES // (64 * 9 * wout * x.itemsize)
+    assert band < hout and hout % band != 0
+    got = nn.conv2d_raw(x, w, b, stride)
+    want = conv2d_oracle(x, w, b, stride)
+    assert got.shape == want.shape
+    assert rel_err(got, want) < 1e-12
+
+
+@pytest.mark.parametrize("k,stride", [(1, 1), (3, 1), (3, 2), (5, 2)])
+def test_conv_float32_close_to_oracle(rng, k, stride):
+    # float32 in, float32 out. Bound: a sum of m = 16*k*k + 1 float32 terms
+    # is off by at most m * eps times the sum of their magnitudes (the exact
+    # float64 oracle on |x|, |w|, |b|)
+    x = rng.normal(size=(2, 16, 9, 8)).astype(np.float32)
+    w = rng.normal(size=(4, 16, k, k)).astype(np.float32)
+    b = rng.normal(size=4).astype(np.float32)
+    got = nn.conv2d_raw(x, w, b, stride)
+    assert got.dtype == np.float32
+    bound = (16 * k * k + 1) * np.finfo(np.float32).eps * conv2d_oracle(
+        np.abs(x), np.abs(w), np.abs(b), stride)
+    assert np.all(np.abs(got - conv2d_oracle(x, w, b, stride)) <= bound)
+
+
 def test_stride1_pool_keeps_size(rng):
     x = rng.normal(size=(1, 2, 13, 13))
     for k in (5, 9, 13):
@@ -198,6 +229,22 @@ def test_conv_gradients(rng):
     assert rel_err(db, central_diff(loss, b)) < 1e-3
 
 
+@pytest.mark.parametrize("k", [1, 3, 5])
+@pytest.mark.parametrize("stride", [1, 2])
+def test_conv_gradients_kernel_sizes(rng, k, stride):
+    # odd H != W and batch 2; a 1x1/1 conv uses its input as the column matrix
+    x = rng.normal(size=(2, 3, 7, 5))
+    w = rng.normal(size=(4, 3, k, k))
+    b = rng.normal(size=4)
+    dy = rng.normal(size=nn.conv2d_raw(x, w, b, stride).shape)
+    dx, dw, db = nn.conv2d_backward(dy, x, w, stride)
+    loss = lambda: float((nn.conv2d_raw(x, w, b, stride) * dy).sum())
+    assert dx.shape == x.shape and dw.shape == w.shape and db.shape == b.shape
+    assert rel_err(dx, central_diff(loss, x)) < 1e-3
+    assert rel_err(dw, central_diff(loss, w)) < 1e-3
+    assert rel_err(db, central_diff(loss, b)) < 1e-3
+
+
 def test_batchnorm_infer_gradients(rng):
     x = rng.normal(size=(2, 3, 4, 4))
     gamma = rng.normal(size=3) + 2
@@ -266,6 +313,41 @@ def test_split_gradients(rng):
         dx = nn.split_half_backward(dy, 4, half)
         loss = lambda: float((nn.split_half(x, half) * dy).sum())
         assert rel_err(dx, central_diff(loss, x)) < 1e-3
+
+
+def _backward_outputs(rng, kernel: str, dtype) -> list[np.ndarray]:
+    x = rng.normal(size=(2, 4, 6, 6)).astype(dtype)
+    dy = rng.normal(size=x.shape).astype(dtype)
+    ch = np.ones(4, dtype=dtype)
+    if kernel == "conv":
+        w = rng.normal(size=(3, 4, 3, 3)).astype(dtype)
+        return list(nn.conv2d_backward(dy[:, :3], x, w, 1))
+    if kernel == "batchnorm_train":
+        _, cache = nn.batchnorm_train_forward(x, ch, 0 * ch, 1e-5)
+        return list(nn.batchnorm_train_backward(dy, cache))
+    if kernel == "batchnorm_infer":
+        return list(nn.batchnorm_infer_backward(dy, x, ch, 0 * ch, ch, 1e-5))
+    if kernel == "activation":
+        return [nn.activate_backward(dy, x, kind) for kind in ("linear", "leaky_relu")]
+    if kernel == "maxpool":
+        y, arg = nn.maxpool_forward(x, 2, 2)
+        return [nn.maxpool_backward(y, arg, x.shape, 2, 2)]
+    if kernel == "upsample":
+        return [nn.upsample2x_backward(dy)]
+    if kernel == "split":
+        return [nn.split_half_backward(dy[:, :2], 4, 1)]
+    return nn.concat_backward(dy, [1, 3])
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("kernel", ["conv", "batchnorm_train", "batchnorm_infer",
+                                    "activation", "maxpool", "upsample", "split",
+                                    "concat"])
+def test_backward_keeps_input_dtype(rng, kernel, dtype):
+    # a float64 factor anywhere would move the rest of a float32 backward
+    # pass to float64
+    for g in _backward_outputs(rng, kernel, dtype):
+        assert g.dtype == dtype
 
 
 # ---------------------------------------------------------------------------
