@@ -218,31 +218,19 @@ def test_split_odd_channels_rejected(rng):
 # ---------------------------------------------------------------------------
 
 def test_conv_gradients(rng):
-    x = rng.normal(size=(2, 2, 5, 5))
-    w = rng.normal(size=(3, 2, 3, 3))
-    b = rng.normal(size=3)
-    dy = rng.normal(size=nn.conv2d_raw(x, w, b, 2).shape)
-    dx, dw, db = nn.conv2d_backward(dy, x, w, 2)
-    loss = lambda: float((nn.conv2d_raw(x, w, b, 2) * dy).sum())
-    assert rel_err(dx, central_diff(loss, x)) < 1e-3
-    assert rel_err(dw, central_diff(loss, w)) < 1e-3
-    assert rel_err(db, central_diff(loss, b)) < 1e-3
-
-
-@pytest.mark.parametrize("k", [1, 3, 5])
-@pytest.mark.parametrize("stride", [1, 2])
-def test_conv_gradients_kernel_sizes(rng, k, stride):
     # odd H != W and batch 2; a 1x1/1 conv uses its input as the column matrix
-    x = rng.normal(size=(2, 3, 7, 5))
-    w = rng.normal(size=(4, 3, k, k))
-    b = rng.normal(size=4)
-    dy = rng.normal(size=nn.conv2d_raw(x, w, b, stride).shape)
-    dx, dw, db = nn.conv2d_backward(dy, x, w, stride)
-    loss = lambda: float((nn.conv2d_raw(x, w, b, stride) * dy).sum())
-    assert dx.shape == x.shape and dw.shape == w.shape and db.shape == b.shape
-    assert rel_err(dx, central_diff(loss, x)) < 1e-3
-    assert rel_err(dw, central_diff(loss, w)) < 1e-3
-    assert rel_err(db, central_diff(loss, b)) < 1e-3
+    for k in (1, 3, 5):
+        for stride in (1, 2):
+            x = rng.normal(size=(2, 3, 7, 5))
+            w = rng.normal(size=(4, 3, k, k))
+            b = rng.normal(size=4)
+            dy = rng.normal(size=nn.conv2d_raw(x, w, b, stride).shape)
+            dx, dw, db = nn.conv2d_backward(dy, x, w, stride)
+            loss = lambda: float((nn.conv2d_raw(x, w, b, stride) * dy).sum())
+            assert dx.shape == x.shape and dw.shape == w.shape and db.shape == b.shape
+            assert rel_err(dx, central_diff(loss, x)) < 1e-3
+            assert rel_err(dw, central_diff(loss, w)) < 1e-3
+            assert rel_err(db, central_diff(loss, b)) < 1e-3
 
 
 def test_batchnorm_infer_gradients(rng):

@@ -4,22 +4,22 @@
 Usage (from the repository root):
 
     python3 tools/bench_pairs.py --out bench.json
-    python3 tools/bench_pairs.py --base HEAD~1 --pairs 10 --workloads train-toy \\
-        --seeds 3,4 --trace-seconds 20 --out bench.json
+    python3 tools/bench_pairs.py --base HEAD~1 --pairs 10 --seeds 3,4 --out bench.json
 
 The base revision (default HEAD) is exported with `git archive` into a
-temporary directory. For each pair and workload, `perfbench/run.py --trace 0`
-runs once in the base export and once in this working tree, with the same
-seed and the run length BENCHMARK.json sets (or --seconds). Which side goes
-first alternates from pair to pair, so a drift in host load falls on both
-sides. Pair i uses seed seeds[i % len(seeds)]. With --trace-seconds > 0,
-each side then makes one traced run per workload on the first seed.
+temporary directory. For each workload BENCHMARK.json lists and each pair,
+`perfbench/run.py --trace 0` runs once in the base export and once in this
+working tree, with the same seed and BENCHMARK.json's run_seconds. Which side
+goes first alternates from pair to pair, so a drift in host load falls on both
+sides. Pair i uses seed seeds[i % len(seeds)]. Each side then makes one traced
+run per workload on the first seed, also run_seconds long.
 
-The JSON holds the machine, Python, numpy and BLAS; the seeds; every pair's
-end-to-end metrics and check result; per side the median and quartiles of
-each metric; per metric the number of pairs in which the working tree is
-better (the direction comes from BENCHMARK.json); and the traced runs'
-per-layer metrics and tables.
+The JSON holds the CPU model and, per side, the environment record run.py
+prints (commit, source digest, Python, numpy, BLAS and its threads); the
+seeds; every pair's end-to-end metrics and check result; per side the median
+and quartiles of each metric; per metric the number of pairs in which the
+working tree is better (the direction comes from BENCHMARK.json); and the
+traced runs' per-layer metrics and tables.
 """
 
 from __future__ import annotations
@@ -27,8 +27,6 @@ from __future__ import annotations
 import argparse
 import io
 import json
-import os
-import platform
 import statistics
 import subprocess
 import sys
@@ -38,25 +36,19 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 RUN = Path("perfbench") / "run.py"
+MIN_PAIRS = 10
 
 
 def parse_args(argv=None):
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--base", default="HEAD", help="git revision to compare against")
-    p.add_argument("--pairs", type=int, default=10)
-    p.add_argument("--seconds", type=float,
-                   help="length of each untraced run (default: BENCHMARK.json's run_seconds)")
-    p.add_argument("--workloads", default="train-toy,detect-416,edge-cloud-loopback")
+    p.add_argument("--pairs", type=int, default=MIN_PAIRS)
     p.add_argument("--seeds", default="1,2")
-    p.add_argument("--trace-seconds", type=float, default=0.0,
-                   help="length of one traced run per side and workload; 0 skips them")
     p.add_argument("--out", required=True, type=Path)
     args = p.parse_args(argv)
-    args.workloads = args.workloads.split(",")
     args.seeds = [int(s) for s in args.seeds.split(",")]
-    if args.pairs < 1 or (args.seconds is not None and args.seconds <= 0) \
-            or args.trace_seconds < 0:
-        p.error("--pairs and --seconds must be positive, --trace-seconds not negative")
+    if args.pairs < MIN_PAIRS:
+        p.error(f"--pairs must be at least {MIN_PAIRS}")
     return args
 
 
@@ -87,8 +79,6 @@ def run(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> dic
 
 
 def quartiles(values: list[float]) -> dict:
-    if len(values) < 2:
-        return {"q1": values[0], "median": values[0], "q3": values[0]}
     q1, med, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"q1": q1, "median": med, "q3": q3}
 
@@ -107,38 +97,25 @@ def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
     return out
 
 
-def machine() -> dict:
-    import numpy as np
-    try:
-        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    except (KeyError, TypeError, ValueError):
-        blas = {}
-    cpu = "unknown"
+def cpu_model() -> str:
     try:
         with open("/proc/cpuinfo") as fh:
-            cpu = next((ln.split(":", 1)[1].strip() for ln in fh
-                        if ln.startswith("model name")), cpu)
+            return next((ln.split(":", 1)[1].strip() for ln in fh
+                         if ln.startswith("model name")), "unknown")
     except OSError:
-        pass
-    return {"cpu": cpu, "nproc": len(os.sched_getaffinity(0)),
-            "platform": platform.platform(), "python": platform.python_version(),
-            "numpy": np.__version__, "blas": blas.get("name", "unknown"),
-            "blas_version": blas.get("version", "unknown")}
+        return "unknown"
 
 
 def main(argv=None) -> int:
     args = parse_args(argv)
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]}
-    if args.seconds is None:
-        args.seconds = float(spec["run_seconds"])
-    base_commit = git("rev-parse", args.base).decode().strip()
+    seconds = float(spec["run_seconds"])
     dirty = bool(git("status", "--porcelain", "--untracked-files=no").strip())
     report: dict = {
         "command": ["python3", "tools/bench_pairs.py", *(argv or sys.argv[1:])],
-        "machine": machine(), "seeds": args.seeds, "pairs": args.pairs,
-        "seconds": args.seconds, "trace_seconds": args.trace_seconds,
-        "base": {"rev": args.base, "commit": base_commit},
+        "cpu": cpu_model(), "seeds": args.seeds, "pairs": args.pairs, "seconds": seconds,
+        "base": {"rev": args.base, "commit": git("rev-parse", args.base).decode().strip()},
         "change": {"commit": git("rev-parse", "HEAD").decode().strip(),
                    "uncommitted_changes": dirty},
         "workloads": {},
@@ -147,14 +124,14 @@ def main(argv=None) -> int:
         base_tree = Path(tmp)
         export(args.base, base_tree)
         trees = {"base": base_tree, "change": ROOT}
-        for wl in args.workloads:
+        for wl in (w["name"] for w in spec["workloads"]):
             pairs = []
             for i in range(args.pairs):
                 seed = args.seeds[i % len(args.seeds)]
                 order = ("base", "change") if i % 2 == 0 else ("change", "base")
                 pair: dict = {"seed": seed, "first": order[0]}
                 for side in order:
-                    r = run(trees[side], wl, seed, args.seconds, 0)
+                    r = run(trees[side], wl, seed, seconds, 0)
                     pair[side] = r["metrics"]
                     pair[side + "_correct"] = r["correct"] and r["exit"] == 0
                     report[side].setdefault("env", r["env"])
@@ -163,13 +140,11 @@ def main(argv=None) -> int:
                       f"{pair['base']['throughput_ops_s']:.3g} -> "
                       f"{pair['change']['throughput_ops_s']:.3g} ops/s", flush=True)
             entry = {"pairs": pairs, "summary": summarize(
-                [{s: p[s] for s in ("base", "change")} for p in pairs], better)}
-            if args.trace_seconds > 0:
-                entry["traced"] = {}
-                for side in ("base", "change"):
-                    r = run(trees[side], wl, args.seeds[0], args.trace_seconds, 1)
-                    entry["traced"][side] = {"correct": r["correct"], "metrics": r["metrics"],
-                                             "table": r["text"]}
+                [{s: p[s] for s in ("base", "change")} for p in pairs], better), "traced": {}}
+            for side in ("base", "change"):
+                r = run(trees[side], wl, args.seeds[0], seconds, 1)
+                entry["traced"][side] = {"correct": r["correct"], "metrics": r["metrics"],
+                                         "table": r["text"]}
             report["workloads"][wl] = entry
             args.out.write_text(json.dumps(report, indent=1) + "\n")   # kept if a later run fails
     ok = all(p[s + "_correct"] for e in report["workloads"].values()
