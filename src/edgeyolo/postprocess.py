@@ -49,7 +49,9 @@ class SoftNmsConfig:
 
 
 def sigmoid(x):
-    return 1.0 / (1.0 + np.exp(-x))
+    # a saturated negative logit overflows exp harmlessly: the quotient is 0
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-x))
 
 
 def corner_iou(a, b) -> np.ndarray:

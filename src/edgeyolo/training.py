@@ -24,7 +24,7 @@ from . import images, nn, netdef
 from .anchors import AnchorSet, iou_wh, kmeans_anchors
 from .netdef import HeadOutput, NetGraph, parse_config
 from .postprocess import (Box, Detection, SoftNmsConfig, ciou_loss_grad, decode,
-                          evaluate, iou, soft_nms)
+                          evaluate, iou, sigmoid, soft_nms)
 
 BCE_EPS = 1e-7
 
@@ -170,8 +170,16 @@ def _bce_and_dlogit(p: np.ndarray, target: float
     return -np.log1p(-pc), np.where(in_range, p, 0.0), ~below
 
 
-def _loss_and_grads(raws: list[np.ndarray], targets: list[TargetAssignment],
-                    want_grad: bool) -> tuple[LossReport, list[np.ndarray] | None]:
+def _loss_and_grads(raws: list[np.ndarray], targets: Sequence[TargetAssignment]
+                    ) -> tuple[LossReport, list[np.ndarray]]:
+    """Composite loss of the heads' raw logits against one target set per
+    image, and d(loss)/d(raws) as float64 arrays of the heads' shapes.
+
+    One pass per scale covers the whole batch. Each image's canvas,
+    lambda_noobj and anchor extents are honoured. Every term is summed per
+    image and scale before the math.fsum totals, so an image contributes the
+    same terms, and gets the same gradient times 1/n, as in a batch of one.
+    """
     n = raws[0].shape[0]
     if len(targets) != n:
         raise ValueError(f"{n} images in the batch but {len(targets)} target sets")
@@ -182,102 +190,83 @@ def _loss_and_grads(raws: list[np.ndarray], targets: list[TargetAssignment],
     if tuple(r.shape[2] for r in raws) != grids:
         raise ValueError(f"head grids {[r.shape[2] for r in raws]} do not match "
                          f"targets {grids}")
-    grads = [np.zeros(r.shape) for r in raws] if want_grad else None
+    lam = np.array([ta.lambda_noobj for ta in targets])
+    canvas = np.array([ta.canvas for ta in targets])          # (n, 2) as w, h
+    grads: list[np.ndarray] = []
+    box_terms: list[float] = []
     obj_terms: list[float] = []
     cls_terms: list[float] = []
     clamped_terms: list[float] = []
-    # every positive's predicted and target box, for one CIoU call per batch
-    preds, box_gts, box_slots = [], [], []
-    for b in range(n):
-        ta = targets[b]
-        img_w, img_h = ta.canvas
-        for si, s in enumerate(grids):
-            a = ta.obj_mask[si].shape[0]
-            per = raws[si].shape[1] // a
-            c = per - 5
-            r = raws[si][b].astype(np.float64).reshape(a, per, s, s)
-            dr = grads[si][b].reshape(a, per, s, s) if want_grad else None
-            pos = ta.obj_mask[si]
+    for si, s in enumerate(grids):
+        pos = np.stack([ta.obj_mask[si] for ta in targets])   # (n, A, S, S)
+        a = pos.shape[1]
+        per = raws[si].shape[1] // a
+        c = per - 5
+        r = raws[si].astype(np.float64).reshape(n, a, per, s, s)
+        grads.append(np.zeros(raws[si].shape))
+        dr = grads[si].reshape(r.shape)
 
-            # saturated logits overflow exp harmlessly: the quotient is 0
-            with np.errstate(over="ignore"):
-                p_obj = 1.0 / (1.0 + np.exp(-r[:, 4]))
-            l_pos, g_pos, stuck_pos = _bce_and_dlogit(p_obj, 1.0)
-            l_neg, g_neg, stuck_neg = _bce_and_dlogit(p_obj, 0.0)
-            obj_terms.append(float(np.sum(np.where(pos, l_pos, 0.0))))
-            obj_terms.append(ta.lambda_noobj * float(np.sum(np.where(pos, 0.0, l_neg))))
-            clamped_terms.append(float(np.sum(l_pos, where=pos & stuck_pos)))
-            clamped_terms.append(ta.lambda_noobj *
-                                 float(np.sum(l_neg, where=stuck_neg & ~pos)))
-            if want_grad:
-                dr[:, 4] = np.where(pos, g_pos, ta.lambda_noobj * g_neg)
+        p_obj = sigmoid(r[:, :, 4])
+        l_pos, g_pos, stuck_pos = _bce_and_dlogit(p_obj, 1.0)
+        l_neg, g_neg, stuck_neg = _bce_and_dlogit(p_obj, 0.0)
+        cells = (1, 2, 3)
+        obj_terms += np.sum(np.where(pos, l_pos, 0.0), axis=cells).tolist()
+        obj_terms += (lam * np.sum(np.where(pos, 0.0, l_neg), axis=cells)).tolist()
+        clamped_terms += np.sum(l_pos, axis=cells, where=pos & stuck_pos).tolist()
+        clamped_terms += (lam * np.sum(l_neg, axis=cells,
+                                       where=stuck_neg & ~pos)).tolist()
+        dr[:, :, 4] = np.where(pos, g_pos, lam[:, None, None, None] * g_neg)
 
-            pa, py, px = np.nonzero(pos)
-            if len(pa):
-                # class BCE over every positive of this scale at once: (P, C)
-                with np.errstate(over="ignore"):
-                    p_cls = 1.0 / (1.0 + np.exp(-r[pa, 5:, py, px]))
-                onehot = np.arange(c) == ta.cls_target[si][pa, py, px][:, None]
-                l1, g1, stuck1 = _bce_and_dlogit(p_cls, 1.0)
-                l0, g0, stuck0 = _bce_and_dlogit(p_cls, 0.0)
-                l_cls = np.where(onehot, l1, l0)
-                cls_terms.extend(np.sum(l_cls, axis=1).tolist())
-                clamped_terms.append(float(np.sum(
-                    l_cls, where=np.where(onehot, stuck1, stuck0))))
-                if want_grad:
-                    dr[pa, 5:, py, px] = np.where(onehot, g1, g0)
+        # class BCE over every positive of this scale at once: (P, C)
+        pb, pa, py, px = np.nonzero(pos)
+        p_cls = sigmoid(r[pb, pa, 5:, py, px])
+        cls_of = np.stack([ta.cls_target[si] for ta in targets])[pb, pa, py, px]
+        onehot = np.arange(c) == cls_of[:, None]
+        l1, g1, stuck1 = _bce_and_dlogit(p_cls, 1.0)
+        l0, g0, stuck0 = _bce_and_dlogit(p_cls, 0.0)
+        l_cls = np.where(onehot, l1, l0)
+        cls_terms += np.sum(l_cls, axis=1).tolist()
+        # pack each image's positives into its own row, so that its clamped
+        # class terms are summed over its rows alone, as in a batch of one
+        rank = np.arange(len(pb)) - np.searchsorted(pb, pb)
+        rows = np.zeros((n, np.max(rank, initial=-1) + 1, c))
+        mask = np.zeros(rows.shape, dtype=bool)
+        rows[pb, rank], mask[pb, rank] = l_cls, np.where(onehot, stuck1, stuck0)
+        clamped_terms += np.sum(rows.reshape(n, -1), axis=1,
+                                where=mask.reshape(n, -1)).tolist()
+        dr[pb, pa, 5:, py, px] = np.where(onehot, g1, g0)
 
-                t = r[pa, :4, py, px]
-                # finite float32 logits can still overflow exp (~709); anything
-                # near that scale is a diverged step, not a loss value
-                if np.max(np.abs(t)) > 600.0:
-                    raise TrainingDivergedError("diverged: box logits out of numeric range")
-                sxy = 1.0 / (1.0 + np.exp(-t[:, :2]))
-                stride = (img_w / s, img_h / s)
-                wh = ta.anchor_px[si][pa] * np.exp(t[:, 2:])
-                preds.append(np.concatenate([(sxy + np.stack([px, py], 1)) * stride, wh], 1))
-                box_gts.append(ta.box_target[si][pa, py, px])
-                box_slots.append((dr, pa, py, px, sxy, stride, wh))
+        t = r[pb, pa, :4, py, px]
+        # finite float32 logits can still overflow exp (~709); anything
+        # near that scale is a diverged step, not a loss value
+        if np.any(np.abs(t) > 600.0):
+            raise TrainingDivergedError("diverged: box logits out of numeric range")
+        sxy = sigmoid(t[:, :2])
+        stride = canvas[pb] / s
+        wh = np.stack([ta.anchor_px[si] for ta in targets])[pb, pa] * np.exp(t[:, 2:])
+        pred = np.concatenate([(sxy + np.stack([px, py], 1)) * stride, wh], 1)
+        box_gt = np.stack([ta.box_target[si] for ta in targets])[pb, pa, py, px]
+        lb, dbox = ciou_loss_grad(pred, box_gt)
+        box_terms += lb.tolist()
+        dr[pb, pa, :4, py, px] = np.concatenate([dbox[:, :2] * sxy * (1.0 - sxy) * stride,
+                                                 dbox[:, 2:] * wh], 1)
 
-    n_pos = sum(len(pr) for pr in preds)
-    loss_box = 0.0
-    if n_pos:
-        lb, dbox = ciou_loss_grad(np.concatenate(preds), np.concatenate(box_gts))
-        # batch mean, so eta does not depend on batch size
-        loss_box = math.fsum(lb.tolist()) / n
-        start = 0
-        for dr, pa, py, px, sxy, stride, wh in box_slots if want_grad else ():
-            d = dbox[start:start + len(pa)]
-            dr[pa, :4, py, px] = np.concatenate([d[:, :2] * sxy * (1.0 - sxy) * stride,
-                                                 d[:, 2:] * wh], 1)
-            start += len(pa)
-
+    # batch means, so eta does not depend on batch size
+    loss_box = math.fsum(box_terms) / n
     loss_obj = math.fsum(obj_terms) / n
     loss_cls = math.fsum(cls_terms) / n
-    if want_grad:
-        for gr in grads:
-            gr /= n
+    for gr in grads:
+        gr /= n
     report = LossReport(loss_box, loss_obj, loss_cls,
-                        loss_box + loss_obj + loss_cls, n_pos,
+                        loss_box + loss_obj + loss_cls, len(box_terms),
                         math.fsum(clamped_terms) / n)
     return report, grads
 
 
-def _as_target_list(targets, n: int) -> list[TargetAssignment]:
-    if isinstance(targets, TargetAssignment):
-        targets = [targets]
-    targets = list(targets)
-    if len(targets) != n:
-        raise ValueError(f"{n} images in the batch but {len(targets)} target sets")
-    return targets
-
-
-def total_loss(heads: Sequence[HeadOutput], targets) -> LossReport:
+def total_loss(heads: Sequence[HeadOutput], targets: Sequence[TargetAssignment]
+               ) -> LossReport:
     """Composite loss of a forward pass against assigned targets."""
-    raws = [h.raw.data for h in heads]
-    report, _ = _loss_and_grads(raws, _as_target_list(targets, raws[0].shape[0]),
-                                want_grad=False)
-    return report
+    return _loss_and_grads([h.raw.data for h in heads], targets)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -349,20 +338,17 @@ def graph_backward(g: NetGraph, x: nn.Tensor, outputs: list[np.ndarray],
     return param_grads, d_input
 
 
-def backward_and_step(g: NetGraph, batch: nn.Tensor, targets,
+def backward_and_step(g: NetGraph, batch: nn.Tensor, targets: Sequence[TargetAssignment],
                       opt: OptimizerConfig) -> tuple[NetGraph, LossReport]:
     """One SGD step over a batch; returns the loss measured before the step.
 
     g is written only after the loss and every gradient are found finite."""
-    target_list = _as_target_list(targets, batch.n)
     outputs, caches, heads = netdef.forward_trace(g, batch, train=True)
-    raws = [h.raw.data for h in heads]
-    report, raw_grads = _loss_and_grads(raws, target_list, want_grad=True)
+    report, raw_grads = _loss_and_grads([h.raw.data for h in heads], targets)
     if not math.isfinite(report.loss_total):
         raise TrainingDivergedError(f"loss is not finite: {report}")
-    head_layer_index = {sp.scale_index: sp.index for sp in g.head_layers()}
-    head_grads = {head_layer_index[h.scale_index]: raw_grads[k]
-                  for k, h in enumerate(heads)}
+    # heads and head_layers() both come in scale-index order
+    head_grads = {sp.index: grad for sp, grad in zip(g.head_layers(), raw_grads)}
     param_grads, _ = graph_backward(g, batch, outputs, caches, head_grads, train=True)
     for idx, pg in param_grads.items():
         for name, grad in pg.items():

@@ -188,8 +188,7 @@ def test_criterion_03_gradient_checks():
         return total_loss(heads, targets).loss_total
 
     outputs, caches, heads = netdef.forward_trace(g, xin, train=True)
-    _, raw_grads = _loss_and_grads([h.raw.data for h in heads], targets,
-                                   want_grad=True)
+    _, raw_grads = _loss_and_grads([h.raw.data for h in heads], targets)
     head_idx = {sp.scale_index: sp.index for sp in g.head_layers()}
     head_grads = {head_idx[h.scale_index]: raw_grads[k]
                   for k, h in enumerate(heads)}

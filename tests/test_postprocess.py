@@ -1,6 +1,7 @@
 """Decode, CIoU, soft suppression, and evaluation metrics."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -107,6 +108,15 @@ def test_decode_exponential_size():
     d = decode(_head_from_raw(raw), np.array([[10.0, 10.0]]), 416, 416, 0.5)[0]
     assert d.box.w == pytest.approx(10.0 * math.e)
     assert d.box.h == pytest.approx(10.0 / math.e)
+
+
+def test_decode_saturated_objectness_is_quiet():
+    # exp(800) overflows to inf; the sigmoid is then exactly 0, not a warning
+    raw = np.zeros((1, 7, 2, 2))
+    raw[0, 4] = -800.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert decode(_head_from_raw(raw), np.array([[5.0, 5.0]]), 32, 32) == []
 
 
 # ---------------------------------------------------------------------------

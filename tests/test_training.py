@@ -208,31 +208,38 @@ def _rand_heads(rng, n, grids=(4, 8), a=2, c=3, scale_logits=3.0):
             for si in range(len(grids))], raws
 
 
-def _rand_targets(rng, n, anchors, grids=(4, 8), c=3, canvas=64.0):
+def _rand_targets(rng, n, anchors, grids=(4, 8), c=3, canvas=(64.0, 64.0),
+                  lambda_noobj=0.5):
     out = []
     for _ in range(n):
         gts = []
         for _ in range(int(rng.integers(1, 4))):
             w = float(rng.uniform(6, 40))
             h = float(rng.uniform(6, 40))
-            gts.append((Box(float(rng.uniform(w / 2, canvas - w / 2)),
-                            float(rng.uniform(h / 2, canvas - h / 2)), w, h),
+            gts.append((Box(float(rng.uniform(w / 2, canvas[0] - w / 2)),
+                            float(rng.uniform(h / 2, canvas[1] - h / 2)), w, h),
                         int(rng.integers(0, c))))
         try:
-            out.append(assign_targets(gts, anchors, grids, (canvas, canvas), c))
+            out.append(assign_targets(gts, anchors, grids, canvas, c, lambda_noobj))
         except ValueError:
-            out.append(assign_targets(gts[:1], anchors, grids, (canvas, canvas), c))
+            out.append(assign_targets(gts[:1], anchors, grids, canvas, c, lambda_noobj))
     return out
 
 
 TOY_ANCHORS = _anchor_set([(8, 9), (14, 12), (22, 25), (34, 30)], input_size=64)
+WIDE_ANCHORS = _anchor_set([(12, 6), (18, 10), (30, 16), (40, 24)], input_size=64)
 
 
 def test_loss_matches_scalar_oracle(rng):
-    for trial in range(30):
-        n = int(rng.integers(1, 4))
+    # the last batch's images differ in canvas, lambda_noobj and anchors
+    mixed = [((64.0, 64.0), 0.5, TOY_ANCHORS), ((96.0, 48.0), 0.25, WIDE_ANCHORS),
+             ((48.0, 80.0), 1.0, TOY_ANCHORS)]
+    for trial in range(31):
+        n = int(rng.integers(1, 4)) if trial < 30 else len(mixed)
         heads, raws = _rand_heads(rng, n)
-        targets = _rand_targets(rng, n, TOY_ANCHORS)
+        targets = _rand_targets(rng, n, TOY_ANCHORS) if trial < 30 else \
+            [_rand_targets(rng, 1, anchors, canvas=canvas, lambda_noobj=lam)[0]
+             for canvas, lam, anchors in mixed]
         rep = total_loss(heads, targets)
         box_v, obj_v, cls_v = loss_oracle(raws, targets)
         assert rep.loss_box == pytest.approx(box_v, rel=1e-10), trial
@@ -244,10 +251,9 @@ def test_loss_matches_scalar_oracle(rng):
 def test_box_gradients_of_a_batch_equal_single_image_batches(rng):
     _, raws = _rand_heads(rng, 3)
     targets = _rand_targets(rng, 3, TOY_ANCHORS)
-    _, grads = _loss_and_grads(raws, targets, want_grad=True)
+    _, grads = _loss_and_grads(raws, targets)
     for b in range(3):
-        _, single = _loss_and_grads([r[b:b + 1] for r in raws], targets[b:b + 1],
-                                    want_grad=True)
+        _, single = _loss_and_grads([r[b:b + 1] for r in raws], targets[b:b + 1])
         for si in range(len(raws)):
             assert np.array_equal(grads[si][b], single[si][0] / 3), (b, si)
     assert any(np.any(g[:, :4] != 0) for g in grads)   # positives have box grads
@@ -404,7 +410,7 @@ def test_total_loss_gradcheck_through_graph(rng):
     outputs, caches, heads = netdef.forward_trace(g, x, train=True)
     raws = [h.raw.data for h in heads]
     from edgeyolo.training import _loss_and_grads
-    _, raw_grads = _loss_and_grads(raws, targets, want_grad=True)
+    _, raw_grads = _loss_and_grads(raws, targets)
     head_idx = {sp.scale_index: sp.index for sp in g.head_layers()}
     head_grads = {head_idx[h.scale_index]: raw_grads[k]
                   for k, h in enumerate(heads)}
