@@ -221,16 +221,16 @@ def _write_history(path: str, history: list[dict]) -> None:
 
 
 def cmd_train_toy(args) -> int:
-    sc = ToyScenario(seed=args.seed, steps=args.steps, eta=args.eta,
-                     train_images=args.train_images,
-                     eval_every=args.eval_every)
     try:
-        result = train_toy(sc)
+        result = train_toy(ToyScenario(seed=args.seed, steps=args.steps,
+                                       eta=args.eta,
+                                       train_images=args.train_images,
+                                       eval_every=args.eval_every))
     except TrainingDivergedError as e:
         if args.history:
             _write_history(args.history, e.history)
         return _fail(str(e))
-    except Exception as e:               # bad scenario
+    except ValueError as e:              # bad scenario
         return _fail(str(e))
     print(f"initial loss {result.initial_loss:.4f}  "
           f"final loss {result.final_loss:.4f}  "

@@ -434,33 +434,31 @@ def build_edge_yolo() -> NetGraph:
 # execution
 # ---------------------------------------------------------------------------
 
-def forward_trace(g: NetGraph, x: Tensor, train: bool = False):
-    """Run the graph keeping every intermediate; returns (outputs, caches, heads).
+def forward_trace(g: NetGraph, x: Tensor):
+    """The training forward; returns (outputs, caches, heads).
 
     Keeps what graph_backward reads besides x and the graph's shapes: every
-    layer output (so each layer's input), batch-norm and activation inputs
-    and each pool's argmax (maxpool_forward). With train=True batch norm
-    uses batch statistics; backward_and_step folds them into the running
-    estimates, so no call here writes the graph.
+    layer output (so each layer's input) and, in caches, each batch norm's
+    cache (None for other layers). Batch norm uses batch statistics;
+    backward_and_step folds them into the running estimates, so no call
+    here writes the graph.
     """
-    return _run(g, x, keep=True, train=train)
+    return _run(g, x, train=True)
 
 
 def forward(g: NetGraph, x: Tensor) -> list[HeadOutput]:
     """Inference: returns head outputs ordered coarsest grid first.
 
-    Keeps no training state: batch norm uses the running statistics, pools
-    compute no argmax (maxpool_raw), no backward caches are built and each
-    layer output is dropped once its last reader has run. The heads are
-    bitwise equal to forward_trace(train=False)'s, short of the NaN and
-    signed-zero cases nn.maxpool_raw documents.
+    Keeps no training state: batch norm uses the running statistics, no
+    backward caches are built and each layer output is dropped once its
+    last reader has run (g.free_after).
     """
-    _, _, heads = _run(g, x, keep=False)
+    _, _, heads = _run(g, x, train=False)
     return heads
 
 
-def _run(g: NetGraph, x: Tensor, keep: bool, train: bool = False):
-    """The layer loop behind forward (keep=False) and forward_trace (keep=True)."""
+def _run(g: NetGraph, x: Tensor, train: bool):
+    """The layer loop behind forward (train=False) and forward_trace (train=True)."""
     w, h, c = g.input_shape
     if (x.c, x.h, x.w) != (c, h, w):
         raise ShapeError(f"graph expects input (c,h,w)=({c},{h},{w}), "
@@ -469,30 +467,23 @@ def _run(g: NetGraph, x: Tensor, keep: bool, train: bool = False):
         missing = [sp.index for sp in g.conv_layers() if g.params[sp.index] is None]
         raise ValueError(f"graph has no weights for conv layers {missing}")
     outputs: list[np.ndarray | None] = []
-    caches: list[dict] = []
+    caches: list[tuple | None] = []
     heads: list[HeadOutput] = []
     for sp in g.layers:
         src = outputs[sp.index - 1] if sp.index > 0 else x.data
-        cache: dict = {}
+        cache = None
         if sp.kind == "conv":
             p = g.params[sp.index]
             z = nn.conv2d_raw(src, p["w"], p["b"], sp.stride)
             if sp.batch_norm and train:
-                z, cache["bn"] = nn.batchnorm_train_forward(z, p["gamma"], p["beta"], 1e-5)
+                z, cache = nn.batchnorm_train_forward(z, p["gamma"], p["beta"], 1e-5)
             elif sp.batch_norm:
-                if keep:
-                    cache["bn_x"] = z
                 z = nn.batchnorm_infer_raw(z, p["gamma"], p["beta"],
                                            p["mean"], p["var"], 1e-5)
-            if keep:
-                cache["act_x"] = z
             out = nn.activate_raw(z, sp.activation)
             del z       # not held while the next layer runs
         elif sp.kind == "max":
-            if keep:
-                out, cache["pool_arg"] = nn.maxpool_forward(src, sp.size, sp.stride)
-            else:
-                out = nn.maxpool_raw(src, sp.size, sp.stride)
+            out = nn.maxpool_raw(src, sp.size, sp.stride)
         elif sp.kind == "route":
             # no local list of sources, so a freed output is not held past its reader
             if sp.split is not None:
@@ -507,7 +498,7 @@ def _run(g: NetGraph, x: Tensor, keep: bool, train: bool = False):
         else:
             raise ValueError(f"unknown layer kind {sp.kind!r}")
         outputs.append(out)
-        if keep:
+        if train:
             caches.append(cache)
         else:
             for i in g.free_after[sp.index]:

@@ -1,9 +1,9 @@
 """Dense NCHW tensors and the small set of layer kernels the detector needs.
 
 Everything here is plain numpy. Each forward kernel used by the training loop
-has a matching backward. The one inference-only kernel, `maxpool_raw`, has
-none: it skips the argmax that `maxpool_backward` needs. Forwards are pure
-functions of their inputs, so identical inputs always produce
+has a matching backward that reads only the layer's input and output, plus
+batch norm's cache; `batchnorm_infer_raw` is inference-only. Forwards are
+pure functions of their inputs, so identical inputs always produce
 bitwise-identical outputs.
 
 Convolutions are lowered to GEMMs (im2col: Chellapilla et al. 2006; cuDNN,
@@ -133,8 +133,9 @@ def conv2d_backward(dy: np.ndarray, x: np.ndarray, w: np.ndarray,
     return dx, dw.reshape(w.shape).astype(w.dtype, copy=False), db
 
 
-def _pad(x: np.ndarray, pad: int) -> np.ndarray:
-    return np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else x
+def _pad(x: np.ndarray, pad: int, value: float = 0.0) -> np.ndarray:
+    return np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)),
+                  constant_values=value) if pad else x
 
 
 def _columns(xp: np.ndarray, k: int, stride: int, hout: int, wout: int) -> np.ndarray:
@@ -157,17 +158,6 @@ def batchnorm_infer_raw(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
                         mean: np.ndarray, var: np.ndarray, eps: float) -> np.ndarray:
     inv = gamma / np.sqrt(var + eps)
     return x * inv[None, :, None, None] + (beta - mean * inv)[None, :, None, None]
-
-
-def batchnorm_infer_backward(dy: np.ndarray, x: np.ndarray, gamma: np.ndarray,
-                             mean: np.ndarray, var: np.ndarray,
-                             eps: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x - mean[None, :, None, None]) * inv[None, :, None, None]
-    dgamma = (dy * xhat).sum(axis=(0, 2, 3))
-    dbeta = dy.sum(axis=(0, 2, 3))
-    dx = dy * (gamma * inv)[None, :, None, None]
-    return dx, dgamma, dbeta
 
 
 def batchnorm_train_forward(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
@@ -202,61 +192,32 @@ def activate_raw(x: np.ndarray, kind: str) -> np.ndarray:
     raise ValueError(f"unknown activation {kind!r}")
 
 
-def activate_backward(dy: np.ndarray, x: np.ndarray, kind: str) -> np.ndarray:
+def activate_backward(dy: np.ndarray, y: np.ndarray, kind: str) -> np.ndarray:
+    """Gradient through an activation from its output y (or its input: leaky
+    ReLU's output is positive exactly where its input is)."""
     if kind == "linear":
         return dy
     if kind == "leaky_relu":
         # LEAKY_SLOPE * dy stays in dy's dtype, as in activate_raw
-        return np.where(x > 0, dy, LEAKY_SLOPE * dy)
+        return np.where(y > 0, dy, LEAKY_SLOPE * dy)
     raise ValueError(f"unknown activation {kind!r}")
 
 
-def maxpool_forward(x: np.ndarray, kernel: int, stride: int) -> tuple[np.ndarray, np.ndarray]:
+def maxpool_raw(x: np.ndarray, kernel: int, stride: int) -> np.ndarray:
     """Max pool; stride-1 pools keep spatial size via -inf same padding.
 
-    Returns (y, argmax) where argmax stores the flat kernel offset that won
-    each window, first occurrence in (ki, kj) scan order on ties.
-    """
-    n, c, h, w = x.shape
-    pad = kernel // 2 if stride == 1 else 0
-    hout = pool_out_size(h, kernel, stride)
-    wout = pool_out_size(w, kernel, stride)
-    if hout < 1 or wout < 1:
-        raise ShapeError(f"pool {kernel}x{kernel}/{stride} does not fit input {h}x{w}")
-    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)),
-                constant_values=-np.inf)
-    best = np.full((n, c, hout, wout), -np.inf, dtype=x.dtype)
-    arg = np.zeros((n, c, hout, wout), dtype=np.int16)
-    for ki in range(kernel):
-        for kj in range(kernel):
-            patch = xp[:, :, ki:ki + stride * hout:stride, kj:kj + stride * wout:stride]
-            better = patch > best
-            best = np.where(better, patch, best)
-            arg[better] = ki * kernel + kj
-    return best, arg
-
-
-def maxpool_raw(x: np.ndarray, kernel: int, stride: int) -> np.ndarray:
-    """Inference max pool: maxpool_forward's values without the argmax.
-
     Separable: a running max over the kernel's row offsets, then over its
-    column offsets, so 2k passes instead of k^2. Stride-1 pools pad with
-    -inf like maxpool_forward; pools without padding make no padded copy.
-    A NaN in a window propagates to that window's output (np.maximum),
-    while maxpool_forward's `>` scan skips it, so the two are equal only on
-    NaN-free input. Equal means equal values: where a window holds both +0
-    and -0, the zero that wins may differ in sign.
+    column offsets, so 2k passes instead of k^2. Pools without padding make
+    no padded copy. A NaN in a window propagates to that window's output
+    (np.maximum). Where a window holds both +0 and -0, either may win.
     """
     h, w = x.shape[2:]
-    pad = kernel // 2 if stride == 1 else 0
     hout = pool_out_size(h, kernel, stride)
     wout = pool_out_size(w, kernel, stride)
     if hout < 1 or wout < 1:
         raise ShapeError(f"pool {kernel}x{kernel}/{stride} does not fit input {h}x{w}")
-    if pad:
-        x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)),
-                   constant_values=-np.inf)
-    rows = _running_max(x, kernel, stride, hout, axis=2)
+    xp = _pad(x, kernel // 2 if stride == 1 else 0, -np.inf)
+    rows = _running_max(xp, kernel, stride, hout, axis=2)
     return _running_max(rows, kernel, stride, wout, axis=3)
 
 
@@ -274,18 +235,24 @@ def _running_max(a: np.ndarray, kernel: int, stride: int, size: int,
     return out
 
 
-def maxpool_backward(dy: np.ndarray, arg: np.ndarray, x_shape: tuple,
+def maxpool_backward(dy: np.ndarray, x: np.ndarray, y: np.ndarray,
                      kernel: int, stride: int) -> np.ndarray:
-    n, c, h, w = x_shape
+    """Gradient of y = maxpool_raw(x, kernel, stride): each output's gradient
+    goes to the first input of its window, in (ki, kj) order, equal to it."""
+    h, w = x.shape[2:]
+    hout, wout = y.shape[2:]
     pad = kernel // 2 if stride == 1 else 0
-    hout, wout = dy.shape[2], dy.shape[3]
-    dxp = np.zeros((n, c, h + 2 * pad, w + 2 * pad), dtype=dy.dtype)
+    xp = _pad(x, pad, -np.inf)
+    dxp = np.zeros(xp.shape, dtype=dy.dtype)
+    unrouted = np.ones(y.shape, dtype=bool)
     for ki in range(kernel):
         for kj in range(kernel):
             sl = (slice(None), slice(None),
                   slice(ki, ki + stride * hout, stride),
                   slice(kj, kj + stride * wout, stride))
-            dxp[sl] += dy * (arg == ki * kernel + kj)
+            hit = unrouted & (xp[sl] == y)
+            dxp[sl] += dy * hit
+            unrouted &= ~hit
     return dxp[:, :, pad:pad + h, pad:pad + w]
 
 

@@ -163,7 +163,8 @@ def decode(head: HeadOutput, anchors, img_w: float, img_h: float,
 
     anchors is an (A, 2) array of (w, h) pixel pairs for this scale. Each
     anchor cell yields at most one detection: its argmax class, kept when
-    sigmoid(objectness) * sigmoid(class logit) exceeds score_floor.
+    sigmoid(objectness) * sigmoid(class logit) exceeds score_floor and its
+    box is finite: a size logit above ~709 overflows exp and is dropped.
     """
     raw = head.raw.data
     if raw.shape[0] != 1:
@@ -181,15 +182,17 @@ def decode(head: HeadOutput, anchors, img_w: float, img_h: float,
     row = np.arange(s, dtype=np.float64)[None, :, None]
     bx = (sigmoid(r[:, 0]) + col) * stride_x
     by = (sigmoid(r[:, 1]) + row) * stride_y
-    bw = anchors[:, 0][:, None, None] * np.exp(r[:, 2])
-    bh = anchors[:, 1][:, None, None] * np.exp(r[:, 3])
+    with np.errstate(over="ignore"):
+        bw = anchors[:, 0][:, None, None] * np.exp(r[:, 2])
+        bh = anchors[:, 1][:, None, None] * np.exp(r[:, 3])
     obj = sigmoid(r[:, 4])
     cls = sigmoid(r[:, 5:])
     best_class = cls.argmax(axis=1)
     best_p = cls.max(axis=1)
     score = obj * best_p
     out: list[Detection] = []
-    for ai, yi, xi in zip(*np.nonzero(score > score_floor)):
+    keep = (score > score_floor) & np.isfinite(bx + by + bw + bh)
+    for ai, yi, xi in zip(*np.nonzero(keep)):
         out.append(Detection(Box(float(bx[ai, yi, xi]), float(by[ai, yi, xi]),
                                  float(bw[ai, yi, xi]), float(bh[ai, yi, xi])),
                              int(best_class[ai, yi, xi]), float(score[ai, yi, xi])))

@@ -274,18 +274,17 @@ def total_loss(heads: Sequence[HeadOutput], targets: Sequence[TargetAssignment]
 # ---------------------------------------------------------------------------
 
 def graph_backward(g: NetGraph, x: nn.Tensor, outputs: list[np.ndarray],
-                   caches: list[dict], head_grads: dict[int, np.ndarray],
-                   train: bool = True):
+                   caches: list[tuple | None], head_grads: dict[int, np.ndarray]):
     """Propagate d(loss)/d(layer output) seeds back to parameter gradients.
 
-    head_grads maps layer index -> gradient array. Returns (param_grads,
-    d_input) where param_grads maps conv layer index -> {name: grad}.
+    outputs and caches come from netdef.forward_trace. head_grads maps layer
+    index -> gradient array. Returns (param_grads, d_input) where
+    param_grads maps conv layer index -> {name: grad}.
     """
     n_layers = len(g.layers)
     d_out: list[np.ndarray | None] = [None] * n_layers
     for idx, grad in head_grads.items():
-        d_out[idx] = grad.astype(outputs[idx].dtype) if d_out[idx] is None \
-            else d_out[idx] + grad
+        d_out[idx] = grad.astype(outputs[idx].dtype)
     param_grads: dict[int, dict[str, np.ndarray]] = {}
     d_input: np.ndarray | None = None
 
@@ -303,26 +302,16 @@ def graph_backward(g: NetGraph, x: nn.Tensor, outputs: list[np.ndarray],
         if dy is None:
             continue
         sp = g.layers[i]
-        cache = caches[i]
         src = outputs[i - 1] if i > 0 else x.data      # the layer's input
         if sp.kind == "conv":
-            p = g.params[i]
-            dz = nn.activate_backward(dy, cache["act_x"], sp.activation)
-            pg: dict[str, np.ndarray] = {}
+            dz = nn.activate_backward(dy, outputs[i], sp.activation)
+            pg = param_grads[i] = {}
             if sp.batch_norm:
-                if train:
-                    dz, dgamma, dbeta = nn.batchnorm_train_backward(dz, cache["bn"])
-                else:
-                    dz, dgamma, dbeta = nn.batchnorm_infer_backward(
-                        dz, cache["bn_x"], p["gamma"], p["mean"], p["var"], 1e-5)
-                pg["gamma"], pg["beta"] = dgamma, dbeta
-            dx, dw, db = nn.conv2d_backward(dz, src, p["w"], sp.stride)
-            pg["w"], pg["b"] = dw, db
-            param_grads[i] = pg
+                dz, pg["gamma"], pg["beta"] = nn.batchnorm_train_backward(dz, caches[i])
+            dx, pg["w"], pg["b"] = nn.conv2d_backward(dz, src, g.params[i]["w"], sp.stride)
             send(i - 1, dx)
         elif sp.kind == "max":
-            send(i - 1, nn.maxpool_backward(dy, cache["pool_arg"],
-                                            src.shape, sp.size, sp.stride))
+            send(i - 1, nn.maxpool_backward(dy, src, outputs[i], sp.size, sp.stride))
         elif sp.kind == "route":
             if sp.split is not None:
                 src_c = outputs[sp.route_refs[0]].shape[1]
@@ -343,22 +332,21 @@ def backward_and_step(g: NetGraph, batch: nn.Tensor, targets: Sequence[TargetAss
     """One SGD step over a batch; returns the loss measured before the step.
 
     g is written only after the loss and every gradient are found finite."""
-    outputs, caches, heads = netdef.forward_trace(g, batch, train=True)
+    outputs, caches, heads = netdef.forward_trace(g, batch)
     report, raw_grads = _loss_and_grads([h.raw.data for h in heads], targets)
     if not math.isfinite(report.loss_total):
         raise TrainingDivergedError(f"loss is not finite: {report}")
     # heads and head_layers() both come in scale-index order
     head_grads = {sp.index: grad for sp, grad in zip(g.head_layers(), raw_grads)}
-    param_grads, _ = graph_backward(g, batch, outputs, caches, head_grads, train=True)
+    param_grads, _ = graph_backward(g, batch, outputs, caches, head_grads)
     for idx, pg in param_grads.items():
         for name, grad in pg.items():
             if not np.all(np.isfinite(grad)):
                 raise TrainingDivergedError(
                     f"non-finite gradient at conv layer {idx} ({name})")
-    for sp, cache in zip(g.layers, caches):
-        if "bn" in cache:
-            p = g.params[sp.index]
-            for key, batch_stat in zip(("mean", "var"), cache["bn"][3:]):
+    for p, cache in zip(g.params, caches):
+        if cache is not None:
+            for key, batch_stat in zip(("mean", "var"), cache[3:]):
                 p[key] = (BN_MOMENTUM * p[key]
                           + (1.0 - BN_MOMENTUM) * batch_stat).astype(p[key].dtype)
     for idx, pg in param_grads.items():
@@ -397,6 +385,17 @@ class ToyScenario:
     batch_size: int = 8
     eta: float = 0.004         # peak step size, at step 0
     eval_every: int = 0            # 0: evaluate only at the end
+
+    def __post_init__(self):
+        if self.steps < 1:
+            raise ValueError(f"steps must be >= 1, got {self.steps}")
+        if self.val_images < 1:
+            raise ValueError(f"val_images must be >= 1, got {self.val_images}")
+        if self.eval_every < 0:
+            raise ValueError(f"eval_every must be >= 0, got {self.eval_every}")
+        if not 1 <= self.batch_size <= self.train_images:
+            raise ValueError(f"batch_size must be in 1..train_images "
+                             f"({self.train_images}), got {self.batch_size}")
 
 
 # class -> (fill color, shape); even ids are rectangles, odd ids ellipses

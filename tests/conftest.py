@@ -66,6 +66,26 @@ def maxpool_oracle(x: np.ndarray, k: int, stride: int) -> np.ndarray:
     return out
 
 
+def maxpool_backward_oracle(dy: np.ndarray, x: np.ndarray, k: int,
+                            stride: int) -> np.ndarray:
+    """Each output's gradient goes to the first in-bounds input of its
+    window, in (ky, kx) order, that holds the window's maximum."""
+    n, c, hh, ww = x.shape
+    pad = k // 2 if stride == 1 else 0
+    dx = np.zeros(x.shape, dtype=np.float64)
+    for ni, ci, oy, ox in np.ndindex(*dy.shape):
+        best = None
+        for ky in range(k):
+            for kx in range(k):
+                iy = oy * stride + ky - pad
+                ix = ox * stride + kx - pad
+                if 0 <= iy < hh and 0 <= ix < ww and (
+                        best is None or x[ni, ci, iy, ix] > x[ni, ci][best]):
+                    best = (iy, ix)
+        dx[ni, ci][best] += dy[ni, ci, oy, ox]
+    return dx
+
+
 # ---------------------------------------------------------------------------
 # suppression oracle: literal greedy rescale-and-filter over Detection lists
 # ---------------------------------------------------------------------------

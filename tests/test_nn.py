@@ -5,7 +5,7 @@ import pytest
 
 from edgeyolo import nn
 
-from conftest import conv2d_oracle, maxpool_oracle
+from conftest import conv2d_oracle, maxpool_backward_oracle, maxpool_oracle
 
 
 def central_diff(f, x, h=1e-4):
@@ -58,11 +58,15 @@ def test_conv_matches_oracle(rng, k, stride):
 
 @pytest.mark.parametrize("k,stride", [(2, 2), (3, 2), (5, 1), (9, 1), (13, 1)])
 def test_maxpool_matches_oracle(rng, k, stride):
-    x = rng.normal(size=(2, 3, 13, 13))
-    got, _ = nn.maxpool_forward(x, k, stride)
-    want = maxpool_oracle(x, k, stride)
-    assert got.shape == want.shape
-    assert np.array_equal(got, want)
+    # gradient routing: small integers make windows tie, and border windows
+    # of negatives only would route into the padding were it 0, not -inf
+    x = rng.integers(-3, 1, size=(2, 3, 13, 13)).astype(np.float64)
+    y = nn.maxpool_raw(x, k, stride)
+    dy = rng.integers(-4, 5, size=y.shape).astype(np.float64)
+    got = nn.maxpool_backward(dy, x, y, k, stride)
+    assert got.shape == x.shape
+    assert np.array_equal(got, maxpool_backward_oracle(dy, x, k, stride))
+    assert got.sum() == dy.sum()        # every window routes to an input
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -76,7 +80,6 @@ def test_maxpool_raw_matches_oracle(rng, dtype, k, stride, h, w):
     assert got.dtype == dtype
     assert got.shape == want.shape
     assert np.array_equal(got, want)
-    assert np.array_equal(got, nn.maxpool_forward(x, k, stride)[0])
 
 
 @pytest.mark.parametrize("stride", [1, 2])
@@ -113,7 +116,7 @@ def test_conv_float32_close_to_oracle(rng, k, stride):
 def test_stride1_pool_keeps_size(rng):
     x = rng.normal(size=(1, 2, 13, 13))
     for k in (5, 9, 13):
-        y, _ = nn.maxpool_forward(x, k, 1)
+        y = nn.maxpool_raw(x, k, 1)
         assert y.shape == x.shape
 
 
@@ -233,21 +236,6 @@ def test_conv_gradients(rng):
             assert rel_err(db, central_diff(loss, b)) < 1e-3
 
 
-def test_batchnorm_infer_gradients(rng):
-    x = rng.normal(size=(2, 3, 4, 4))
-    gamma = rng.normal(size=3) + 2
-    beta = rng.normal(size=3)
-    mean = rng.normal(size=3)
-    var = rng.uniform(0.5, 2.0, size=3)
-    dy = rng.normal(size=x.shape)
-    dx, dgamma, dbeta = nn.batchnorm_infer_backward(dy, x, gamma, mean, var, 1e-5)
-    loss = lambda: float(
-        (nn.batchnorm_infer_raw(x, gamma, beta, mean, var, 1e-5) * dy).sum())
-    assert rel_err(dx, central_diff(loss, x)) < 1e-3
-    assert rel_err(dgamma, central_diff(loss, gamma)) < 1e-3
-    assert rel_err(dbeta, central_diff(loss, beta)) < 1e-3
-
-
 def test_batchnorm_train_gradients(rng):
     x = rng.normal(size=(3, 2, 4, 4))
     gamma = rng.normal(size=2) + 2
@@ -278,11 +266,11 @@ def test_activation_gradients(rng, kind):
 @pytest.mark.parametrize("k,stride", [(2, 2), (3, 2), (5, 1)])
 def test_maxpool_gradients(rng, k, stride):
     x = rng.normal(size=(2, 2, 6, 6))
-    y, arg = nn.maxpool_forward(x, k, stride)
+    y = nn.maxpool_raw(x, k, stride)
     dy = rng.normal(size=y.shape)
-    dx = nn.maxpool_backward(dy, arg, x.shape, k, stride)
-    loss = lambda: float((nn.maxpool_forward(x, k, stride)[0] * dy).sum())
-    # finite differences are valid only off argmax ties; random floats are safe
+    dx = nn.maxpool_backward(dy, x, y, k, stride)
+    loss = lambda: float((nn.maxpool_raw(x, k, stride) * dy).sum())
+    # finite differences are valid only off window ties; random floats are safe
     assert rel_err(dx, central_diff(loss, x)) < 1e-3
 
 
@@ -313,13 +301,11 @@ def _backward_outputs(rng, kernel: str, dtype) -> list[np.ndarray]:
     if kernel == "batchnorm_train":
         _, cache = nn.batchnorm_train_forward(x, ch, 0 * ch, 1e-5)
         return list(nn.batchnorm_train_backward(dy, cache))
-    if kernel == "batchnorm_infer":
-        return list(nn.batchnorm_infer_backward(dy, x, ch, 0 * ch, ch, 1e-5))
     if kernel == "activation":
         return [nn.activate_backward(dy, x, kind) for kind in ("linear", "leaky_relu")]
     if kernel == "maxpool":
-        y, arg = nn.maxpool_forward(x, 2, 2)
-        return [nn.maxpool_backward(y, arg, x.shape, 2, 2)]
+        y = nn.maxpool_raw(x, 2, 2)
+        return [nn.maxpool_backward(y, x, y, 2, 2)]
     if kernel == "upsample":
         return [nn.upsample2x_backward(dy)]
     if kernel == "split":
@@ -328,9 +314,8 @@ def _backward_outputs(rng, kernel: str, dtype) -> list[np.ndarray]:
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-@pytest.mark.parametrize("kernel", ["conv", "batchnorm_train", "batchnorm_infer",
-                                    "activation", "maxpool", "upsample", "split",
-                                    "concat"])
+@pytest.mark.parametrize("kernel", ["conv", "batchnorm_train", "activation",
+                                    "maxpool", "upsample", "split", "concat"])
 def test_backward_keeps_input_dtype(rng, kernel, dtype):
     # a float64 factor anywhere would move the rest of a float32 backward
     # pass to float64
@@ -373,8 +358,9 @@ def test_determinism(rng):
 
 
 def test_maxpool_tie_first_occurrence():
-    # equal values in the window: the first kernel offset must win
+    # equal values in the window: the first kernel offset takes the gradient
     x = np.zeros((1, 1, 2, 2))
-    y, arg = nn.maxpool_forward(x, 2, 2)
+    y = nn.maxpool_raw(x, 2, 2)
     assert y[0, 0, 0, 0] == 0.0
-    assert arg[0, 0, 0, 0] == 0
+    dx = nn.maxpool_backward(np.ones_like(y), x, y, 2, 2)
+    assert np.array_equal(dx[0, 0], [[1.0, 0.0], [0.0, 0.0]])

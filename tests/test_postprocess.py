@@ -119,6 +119,20 @@ def test_decode_saturated_objectness_is_quiet():
         assert decode(_head_from_raw(raw), np.array([[5.0, 5.0]]), 32, 32) == []
 
 
+def test_decode_drops_overflowing_box_sizes():
+    # a size logit of 800 overflows exp to an infinite width; soft-NMS would
+    # get NaN IoUs from such boxes and keep them all
+    raw = np.full((1, 7, 2, 2), 5.0)
+    raw[0, 2] = 800.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        dets = decode(_head_from_raw(raw), np.array([[5.0, 5.0]]), 32, 32, 0.5)
+        assert dets == []
+        assert soft_nms(dets) == []
+    raw[0, 2] = 5.0
+    assert len(decode(_head_from_raw(raw), np.array([[5.0, 5.0]]), 32, 32, 0.5)) == 4
+
+
 # ---------------------------------------------------------------------------
 # CIoU
 # ---------------------------------------------------------------------------
