@@ -40,11 +40,12 @@ class SoftNmsConfig:
     score_floor: float = 0.001
 
     def __post_init__(self):
-        if self.sigma <= 0:
+        # written so that NaN fails each test
+        if not self.sigma > 0:
             raise ValueError(f"sigma must be positive, got {self.sigma}")
         if not 0.0 <= self.t_nms <= 1.0:
             raise ValueError(f"t_nms must be in [0,1], got {self.t_nms}")
-        if self.score_floor < 0:
+        if not self.score_floor >= 0:
             raise ValueError(f"score_floor must be >= 0, got {self.score_floor}")
 
 
@@ -54,22 +55,33 @@ def sigmoid(x):
         return 1.0 / (1.0 + np.exp(-x))
 
 
+def _iou(a, b) -> np.ndarray:
+    """IoU of boxes held as rows (x1, y1, x2, y2, area) that broadcast.
+
+    0 where the boxes do not overlap or the union is not positive.
+    """
+    iw = np.minimum(a[2], b[2]) - np.maximum(a[0], b[0])
+    ih = np.minimum(a[3], b[3]) - np.maximum(a[1], b[1])
+    inter = iw * ih
+    union = a[4] + b[4] - inter
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where((iw <= 0.0) | (ih <= 0.0) | (union <= 0.0), 0.0,
+                        inter / union)
+
+
+def _corner_rows(c):
+    """(..., 4) corners as the rows _iou takes: x1, y1, x2, y2 and area."""
+    x1, y1, x2, y2 = np.moveaxis(np.asarray(c, dtype=np.float64), -1, 0)
+    # areas from the same corner arithmetic, so identical boxes hit 1 exactly
+    return x1, y1, x2, y2, (x2 - x1) * (y2 - y1)
+
+
 def corner_iou(a, b) -> np.ndarray:
     """IoU of (x1, y1, x2, y2) boxes along the last axis; a and b broadcast.
 
     0 where the boxes do not overlap or the union is not positive.
     """
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    iw = np.minimum(a[..., 2], b[..., 2]) - np.maximum(a[..., 0], b[..., 0])
-    ih = np.minimum(a[..., 3], b[..., 3]) - np.maximum(a[..., 1], b[..., 1])
-    inter = iw * ih
-    # areas from the same corner arithmetic, so identical boxes hit 1 exactly
-    union = ((a[..., 2] - a[..., 0]) * (a[..., 3] - a[..., 1])
-             + (b[..., 2] - b[..., 0]) * (b[..., 3] - b[..., 1]) - inter)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where((iw <= 0.0) | (ih <= 0.0) | (union <= 0.0), 0.0,
-                        inter / union)
+    return _iou(_corner_rows(a), _corner_rows(b))
 
 
 def iou(a: Box, b: Box) -> float:
@@ -203,34 +215,61 @@ def decode(head: HeadOutput, anchors, img_w: float, img_h: float,
 # soft suppression
 # ---------------------------------------------------------------------------
 
+# a pass takes its picks from this many of a class's best live boxes
+NMS_BLOCK = 32
+# _LATER[i, j]: box j comes after box i in a pass's ranking
+_LATER = np.triu(np.ones((NMS_BLOCK, NMS_BLOCK), dtype=bool), 1)
+
+
 def soft_nms(dets: Sequence[Detection], cfg: SoftNmsConfig = SoftNmsConfig()) -> list[Detection]:
     """Gaussian score decay per class: overlapping rivals are rescored, not cut.
 
-    Repeatedly keeps the highest-scoring remaining box M of each class and
-    rescales every rival with IoU(M, b) >= t_nms by exp(-IoU / sigma); boxes
-    whose running score falls below score_floor are dropped. As sigma
-    approaches 0 this reproduces hard suppression at threshold t_nms.
+    Repeatedly keeps the highest-scoring remaining box M of each class (ties
+    go to the lower index) and rescales every rival with IoU(M, b) >= t_nms
+    by exp(-IoU / sigma). A box below score_floor, at the start or once
+    rescaled, is dropped. As sigma approaches 0 this reproduces hard
+    suppression at threshold t_nms. Raises ValueError on a non-finite score.
+
+    Each pass keeps several boxes at once. It ranks the class's NMS_BLOCK
+    best live boxes in pick order and keeps the longest leading run in which
+    no box is a rival of an earlier one. That is exact: the run's boxes do
+    not decay each other and every other score only falls, so the one-box
+    loop would keep exactly these boxes next, in this order. The run's
+    decays are then applied in pick order, so each score sees the same
+    multiplications in the same order as in that loop.
     """
-    corners = np.array([d.box.corners() for d in dets])
+    corners = np.array([d.box.corners() for d in dets], dtype=np.float64).reshape(-1, 4)
     scores = np.array([d.score for d in dets], dtype=np.float64)
+    if not np.isfinite(scores).all():
+        raise ValueError("soft_nms needs finite scores")
     classes = np.array([d.class_id for d in dets])
-    survivors: list[tuple[float, int]] = []
-    for cls in np.unique(classes):
-        idx = np.flatnonzero(classes == cls)
-        pool_scores, pool_corners = scores[idx], corners[idx]
+    all_rows = np.stack(_corner_rows(corners))
+    live = scores >= cfg.score_floor
+    kept_idx, kept_scores = [np.empty(0, dtype=np.intp)], [np.empty(0)]
+    for cls in np.unique(classes[live]):
+        idx = np.flatnonzero(live & (classes == cls))
+        pool, rows = scores[idx], all_rows[:, idx]
         while idx.size:
-            # argmax takes the first maximum: ties go to the lowest index
-            k = int(np.argmax(pool_scores))
-            survivors.append((float(pool_scores[k]), int(idx[k])))
-            ov = corner_iou(pool_corners[k], pool_corners)
-            hit = np.flatnonzero(ov >= cfg.t_nms)
+            # the pool stays in index order, so a stable sort breaks ties by index
+            top = np.argsort(-pool, kind="stable")[:NMS_BLOCK]
+            block = rows[:, top]
+            n = top.size
+            rival = _iou(block[:, :, None], block[:, None, :]) >= cfg.t_nms
+            clash = np.flatnonzero((rival & _LATER[:n, :n]).any(axis=0))
+            run = top[:clash[0] if clash.size else n]
+            kept_idx.append(idx[run])
+            kept_scores.append(pool[run])
+            ov = _iou(block[:, :run.size, None], rows[:, None, :])
+            r, c = np.nonzero(ov >= cfg.t_nms)          # row-major: pick order
             # math.exp, not np.exp, whose last ulp differs on some inputs
-            pool_scores[hit] *= [math.exp(-o / cfg.sigma) for o in ov[hit].tolist()]
-            keep = pool_scores >= cfg.score_floor
-            keep[k] = False
-            idx, pool_scores, pool_corners = idx[keep], pool_scores[keep], pool_corners[keep]
-    survivors.sort(key=lambda t: (-t[0], t[1]))
-    return [Detection(dets[i].box, dets[i].class_id, score) for score, i in survivors]
+            np.multiply.at(pool, c, [math.exp(-o / cfg.sigma) for o in ov[r, c].tolist()])
+            keep = pool >= cfg.score_floor
+            keep[run] = False
+            idx, pool, rows = idx[keep], pool[keep], rows[:, keep]
+    kept_idx, kept_scores = np.concatenate(kept_idx), np.concatenate(kept_scores)
+    order = np.lexsort((kept_idx, -kept_scores))
+    return [Detection(dets[i].box, dets[i].class_id, score)
+            for i, score in zip(kept_idx[order].tolist(), kept_scores[order].tolist())]
 
 
 # ---------------------------------------------------------------------------

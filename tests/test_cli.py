@@ -148,7 +148,8 @@ def test_detect_no_images(mini, capsys):
 
 
 @pytest.mark.parametrize("flag,value", [("--sigma", "0"), ("--t-nms", "2"),
-                                        ("--score-floor", "-1")])
+                                        ("--score-floor", "-1"), ("--sigma", "nan"),
+                                        ("--score-floor", "nan")])
 def test_detect_rejects_bad_nms_settings(mini, capsys, flag, value):
     rc = cli.main(["detect", *_model_flags(mini), flag, value, mini["img"]])
     assert rc == 1

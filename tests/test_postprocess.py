@@ -272,6 +272,52 @@ def test_soft_nms_drops_a_rival_decayed_below_the_floor_partway():
     assert soft_nms([a, b, c], cfg) == [a, b]
 
 
+@pytest.mark.parametrize("cfg", [SoftNmsConfig(), SoftNmsConfig(t_nms=0.0),
+                                 SoftNmsConfig(sigma=1e-6)],
+                         ids=["default", "zero_gate", "tiny_sigma"])
+def test_soft_nms_matches_oracle_on_crowded_classes(cfg):
+    # the loopback regime: hundreds of boxes per class on a 64 px canvas, far
+    # more than one pass's block, with scores drawn from a few repeated values
+    rng = np.random.default_rng(14)
+    levels = rng.uniform(0.2, 0.4, size=12)
+    dets = [Detection(b, cid, float(rng.choice(levels)))
+            for cid, n in ((0, 480), (1, 310))
+            for b in random_boxes(rng, n, canvas=64.0, min_wh=8.0, max_wh=40.0)]
+    dets = [dets[i] for i in rng.permutation(len(dets))]
+    got = soft_nms(dets, cfg)
+    want = soft_nms_oracle(dets, cfg.sigma, cfg.t_nms, cfg.score_floor)
+    assert len(got) == len(want)
+    # the oracle breaks cross-class score ties by class, soft_nms by index
+    want_scores = {(d.box, d.class_id): d.score for d in want}
+    for d in got:
+        assert d.score == pytest.approx(want_scores[d.box, d.class_id], abs=1e-9)
+    rank = {d.box: i for i, d in enumerate(dets)}
+    keys = [(-d.score, rank[d.box]) for d in got]
+    assert keys == sorted(keys)
+
+
+def test_soft_nms_drops_a_class_whose_best_box_is_below_the_floor():
+    low = [Detection(Box(10, 10, 10, 10), 0, 0.0005),
+           Detection(Box(50, 50, 10, 10), 0, 0.0004)]
+    kept = Detection(Box(30, 30, 10, 10), 1, 0.5)
+    assert soft_nms(low, SoftNmsConfig()) == []
+    assert soft_nms(low + [kept], SoftNmsConfig()) == [kept]
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_soft_nms_rejects_non_finite_scores(bad):
+    dets = [Detection(Box(10, 10, 10, 10), 0, 0.9),
+            Detection(Box(12, 10, 10, 10), 0, bad)]
+    with pytest.raises(ValueError, match="finite"):
+        soft_nms(dets, SoftNmsConfig())
+
+
+@pytest.mark.parametrize("field", ["sigma", "t_nms", "score_floor"])
+def test_soft_nms_config_rejects_nan(field):
+    with pytest.raises(ValueError, match=field):
+        SoftNmsConfig(**{field: math.nan})
+
+
 def test_soft_nms_keeps_other_classes(rng):
     a = Detection(Box(10, 10, 10, 10), 0, 0.9)
     b = Detection(Box(10, 10, 10, 10), 1, 0.8)     # same box, other class
