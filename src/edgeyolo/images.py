@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .postprocess import Box, Detection
+from .postprocess import Detection, as_arrays, as_detections
 
 try:                                    # optional, only for .png files
     from PIL import Image as _PILImage
@@ -110,14 +110,15 @@ class LetterboxTransform:
     pad_x: float
     pad_y: float
 
-    def box_to_source(self, b: Box) -> Box:
-        return Box((b.cx - self.pad_x) / self.scale,
-                   (b.cy - self.pad_y) / self.scale,
-                   b.w / self.scale, b.h / self.scale)
+    def boxes_to_source(self, boxes: np.ndarray) -> np.ndarray:
+        """(N, 4) canvas (cx, cy, w, h) boxes in source-image pixels."""
+        return (boxes - (self.pad_x, self.pad_y, 0.0, 0.0)) / self.scale
 
 
 def letterbox(img: np.ndarray, size: int) -> tuple[np.ndarray, LetterboxTransform]:
     """Aspect-preserving resize onto a size x size canvas, gray padding."""
+    if img.ndim != 3 or 0 in img.shape:
+        raise ImageError(f"expected a CxHxW array with no empty side, got {img.shape}")
     c, h, w = img.shape
     scale = min(size / w, size / h)
     new_w = max(1, round(w * scale))
@@ -132,8 +133,8 @@ def letterbox(img: np.ndarray, size: int) -> tuple[np.ndarray, LetterboxTransfor
 
 def map_detections_to_source(dets: list[Detection],
                              t: LetterboxTransform) -> list[Detection]:
-    return [Detection(t.box_to_source(d.box), d.class_id, d.score)
-            for d in dets]
+    boxes, classes, scores = as_arrays(dets)
+    return as_detections(t.boxes_to_source(boxes), classes, scores)
 
 
 _PALETTE = [(1.0, 0.2, 0.2), (0.2, 1.0, 0.2), (0.3, 0.4, 1.0),

@@ -5,6 +5,7 @@ Boxes are axis-aligned (cx, cy, w, h) in image pixels throughout.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -169,15 +170,24 @@ def ciou_loss(pred: Box, gt: Box) -> float:
 # decoding
 # ---------------------------------------------------------------------------
 
-def decode(head: HeadOutput, anchors, img_w: float, img_h: float,
-           score_floor: float = 0.0) -> list[Detection]:
-    """Turn one head's raw tensor into detections on an img_w x img_h canvas.
+def as_detections(boxes, classes, scores) -> list[Detection]:
+    """Detection objects from (N, 4) (cx, cy, w, h) boxes, class ids and scores."""
+    return [Detection(Box(*b), c, s) for b, c, s in
+            zip(boxes.tolist(), classes.tolist(), scores.tolist())]
 
-    anchors is an (A, 2) array of (w, h) pixel pairs for this scale. Each
-    anchor cell yields at most one detection: its argmax class, kept when
-    sigmoid(objectness) * sigmoid(class logit) exceeds score_floor and its
-    box is finite: a size logit above ~709 overflows exp and is dropped.
-    """
+
+def as_arrays(dets: Sequence[Detection]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The (N, 4) boxes, class ids and scores of a detection list."""
+    boxes = np.array([(d.box.cx, d.box.cy, d.box.w, d.box.h) for d in dets],
+                     dtype=np.float64).reshape(-1, 4)
+    return (boxes, np.array([d.class_id for d in dets], dtype=np.intp),
+            np.array([d.score for d in dets], dtype=np.float64))
+
+
+def decode_arrays(head: HeadOutput, anchors, img_w: float, img_h: float,
+                  score_floor: float = 0.0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """decode's core: the kept cells' (N, 4) boxes, class ids and scores, in
+    (anchor, row, column) order."""
     raw = head.raw.data
     if raw.shape[0] != 1:
         raise ValueError(f"decode works on single-image tensors, got batch {raw.shape[0]}")
@@ -188,27 +198,36 @@ def decode(head: HeadOutput, anchors, img_w: float, img_h: float,
     if raw.shape[1] != a * per or per < 6:
         raise ValueError(f"head channels {raw.shape[1]} do not factor into "
                          f"{a} anchors x (5+classes)")
-    r = raw[0].astype(np.float64).reshape(a, per, s, s)
-    stride_x, stride_y = img_w / s, img_h / s
-    col = np.arange(s, dtype=np.float64)[None, None, :]
-    row = np.arange(s, dtype=np.float64)[None, :, None]
-    bx = (sigmoid(r[:, 0]) + col) * stride_x
-    by = (sigmoid(r[:, 1]) + row) * stride_y
+    r = raw[0].reshape(a, per, s, s)
+    # the sigmoid rises with the logit, so the best logit is the best class
+    best_class = r[:, 5:].argmax(axis=1)
+    best_logit = np.take_along_axis(r[:, 5:], best_class[:, None], axis=1)[:, 0]
+    score = (sigmoid(r[:, 4].astype(np.float64))
+             * sigmoid(best_logit.astype(np.float64)))
+    ai, yi, xi = np.nonzero(score > score_floor)
+    t = r[ai, :4, yi, xi].astype(np.float64)
+    bx = (sigmoid(t[:, 0]) + xi) * (img_w / s)
+    by = (sigmoid(t[:, 1]) + yi) * (img_h / s)
     with np.errstate(over="ignore"):
-        bw = anchors[:, 0][:, None, None] * np.exp(r[:, 2])
-        bh = anchors[:, 1][:, None, None] * np.exp(r[:, 3])
-    obj = sigmoid(r[:, 4])
-    cls = sigmoid(r[:, 5:])
-    best_class = cls.argmax(axis=1)
-    best_p = cls.max(axis=1)
-    score = obj * best_p
-    out: list[Detection] = []
-    keep = (score > score_floor) & np.isfinite(bx + by + bw + bh)
-    for ai, yi, xi in zip(*np.nonzero(keep)):
-        out.append(Detection(Box(float(bx[ai, yi, xi]), float(by[ai, yi, xi]),
-                                 float(bw[ai, yi, xi]), float(bh[ai, yi, xi])),
-                             int(best_class[ai, yi, xi]), float(score[ai, yi, xi])))
-    return out
+        bw = anchors[ai, 0] * np.exp(t[:, 2])
+        bh = anchors[ai, 1] * np.exp(t[:, 3])
+    ok = np.isfinite(bx + by + bw + bh)
+    return (np.stack([bx, by, bw, bh], axis=1)[ok], best_class[ai, yi, xi][ok],
+            score[ai, yi, xi][ok])
+
+
+def decode(head: HeadOutput, anchors, img_w: float, img_h: float,
+           score_floor: float = 0.0) -> list[Detection]:
+    """Turn one head's raw tensor into detections on an img_w x img_h canvas.
+
+    anchors is an (A, 2) array of (w, h) pixel pairs for this scale. Each
+    anchor cell yields at most one detection: its argmax class, kept when
+    sigmoid(objectness) * sigmoid(class logit) exceeds score_floor and its
+    box is finite: a size logit above ~709 overflows exp and is dropped.
+    The class is the argmax of the logits, so among logits above ~37, whose
+    sigmoids all round to 1.0, the largest wins.
+    """
+    return as_detections(*decode_arrays(head, anchors, img_w, img_h, score_floor))
 
 
 # ---------------------------------------------------------------------------
@@ -217,8 +236,82 @@ def decode(head: HeadOutput, anchors, img_w: float, img_h: float,
 
 # a pass takes its picks from this many of a class's best live boxes
 NMS_BLOCK = 32
-# _LATER[i, j]: box j comes after box i in a pass's ranking
-_LATER = np.triu(np.ones((NMS_BLOCK, NMS_BLOCK), dtype=bool), 1)
+
+
+def _block_picks(s: list, pos: list, ov: list, stop: tuple, cfg: SoftNmsConfig) -> list:
+    """The one-box loop on a block: its picks, as block offsets in pick order.
+
+    s, pos and ov hold the block's scores, pool positions and IoU matrix in
+    rank order. Each pick decays the block's unpicked boxes in s, in place,
+    so a pick's entry in s is its kept score. A pick is the block's best box
+    by (score, lower position), taken while its key (-score, position) comes
+    before stop, the key of the best box outside the block.
+    """
+    heap = [(-v, p, j) for j, (v, p) in enumerate(zip(s, pos))]   # sorted: a heap
+    left = list(range(len(s)))
+    picks = []
+    while heap:
+        neg, p, b = heapq.heappop(heap)
+        if -neg != s[b]:
+            continue                            # an entry from before a decay
+        if (neg, p) > stop:
+            break
+        picks.append(b)
+        left.remove(b)
+        row = ov[b]
+        for j in left:
+            if row[j] >= cfg.t_nms:
+                v = s[j] * math.exp(-row[j] / cfg.sigma)
+                if v != s[j]:
+                    s[j] = v
+                    heapq.heappush(heap, (-v, pos[j], j))
+    return picks
+
+
+def soft_nms_arrays(boxes, classes, scores,
+                    cfg: SoftNmsConfig = SoftNmsConfig()) -> tuple[np.ndarray, np.ndarray]:
+    """soft_nms's core on (N, 4) (cx, cy, w, h) boxes, class ids and scores.
+
+    Returns the kept rows' indices and their scores, by descending score
+    and then index.
+    """
+    if not np.isfinite(scores).all():
+        raise ValueError("soft_nms needs finite scores")
+    half = boxes[:, 2:] / 2.0
+    all_rows = np.stack(_corner_rows(np.concatenate([boxes[:, :2] - half,
+                                                     boxes[:, :2] + half], axis=1)))
+    live = scores >= cfg.score_floor
+    kept_idx, kept_scores = [np.empty(0, dtype=np.intp)], [np.empty(0)]
+    for cls in np.unique(classes[live]):
+        idx = np.flatnonzero(live & (classes == cls))
+        pool, rows = scores[idx], all_rows[:, idx]
+        while idx.size:
+            # the pool stays in index order, so a stable sort breaks ties by index
+            ranked = np.argsort(-pool, kind="stable")
+            top = ranked[:NMS_BLOCK]
+            if ranked.size > top.size:
+                stop = (-float(pool[ranked[top.size]]), int(ranked[top.size]))
+            else:                       # nothing outside: stop at the floor
+                stop = (-cfg.score_floor, math.inf)
+            ov = _iou(rows[:, top, None], rows[:, None, :])
+            s = pool[top].tolist()
+            picks = _block_picks(s, top.tolist(), ov[:, top].tolist(), stop, cfg)
+            run = top[picks]
+            kept_idx.append(idx[run])
+            kept_scores.append(np.array([s[b] for b in picks]))
+            # the block's scores are final; the picks' decays go to the rest
+            ov = ov[picks]
+            ov[:, top] = -1.0                           # below every gate
+            r, c = np.nonzero(ov >= cfg.t_nms)          # row-major: pick order
+            # math.exp, not np.exp, whose last ulp differs on some inputs
+            np.multiply.at(pool, c, [math.exp(-o / cfg.sigma) for o in ov[r, c].tolist()])
+            pool[top] = s
+            keep = pool >= cfg.score_floor
+            keep[run] = False
+            idx, pool, rows = idx[keep], pool[keep], rows[:, keep]
+    kept_idx, kept_scores = np.concatenate(kept_idx), np.concatenate(kept_scores)
+    order = np.lexsort((kept_idx, -kept_scores))
+    return kept_idx[order], kept_scores[order]
 
 
 def soft_nms(dets: Sequence[Detection], cfg: SoftNmsConfig = SoftNmsConfig()) -> list[Detection]:
@@ -231,45 +324,20 @@ def soft_nms(dets: Sequence[Detection], cfg: SoftNmsConfig = SoftNmsConfig()) ->
     suppression at threshold t_nms. Raises ValueError on a non-finite score.
 
     Each pass keeps several boxes at once. It ranks the class's NMS_BLOCK
-    best live boxes in pick order and keeps the longest leading run in which
-    no box is a rival of an earlier one. That is exact: the run's boxes do
-    not decay each other and every other score only falls, so the one-box
-    loop would keep exactly these boxes next, in this order. The run's
-    decays are then applied in pick order, so each score sees the same
-    multiplications in the same order as in that loop.
+    best live boxes by (score, lower index) and runs the one-box loop on
+    them alone: it keeps the block's best current box and decays the rest
+    of the block by it, for as long as that box still ranks ahead of the
+    best box outside the block, taken at its score when the pass began: a
+    higher score, or an equal one and a lower index. A block box decayed to
+    exactly that score with a higher index waits for the next pass. The
+    picks' decays then go to the rest of the pool in pick order. That is
+    exact: a score outside the block only falls during the pass, so the
+    one-box loop would keep the same boxes in the same order, and every
+    score sees the same multiplications in the same order as in that loop.
     """
-    corners = np.array([d.box.corners() for d in dets], dtype=np.float64).reshape(-1, 4)
-    scores = np.array([d.score for d in dets], dtype=np.float64)
-    if not np.isfinite(scores).all():
-        raise ValueError("soft_nms needs finite scores")
-    classes = np.array([d.class_id for d in dets])
-    all_rows = np.stack(_corner_rows(corners))
-    live = scores >= cfg.score_floor
-    kept_idx, kept_scores = [np.empty(0, dtype=np.intp)], [np.empty(0)]
-    for cls in np.unique(classes[live]):
-        idx = np.flatnonzero(live & (classes == cls))
-        pool, rows = scores[idx], all_rows[:, idx]
-        while idx.size:
-            # the pool stays in index order, so a stable sort breaks ties by index
-            top = np.argsort(-pool, kind="stable")[:NMS_BLOCK]
-            block = rows[:, top]
-            n = top.size
-            rival = _iou(block[:, :, None], block[:, None, :]) >= cfg.t_nms
-            clash = np.flatnonzero((rival & _LATER[:n, :n]).any(axis=0))
-            run = top[:clash[0] if clash.size else n]
-            kept_idx.append(idx[run])
-            kept_scores.append(pool[run])
-            ov = _iou(block[:, :run.size, None], rows[:, None, :])
-            r, c = np.nonzero(ov >= cfg.t_nms)          # row-major: pick order
-            # math.exp, not np.exp, whose last ulp differs on some inputs
-            np.multiply.at(pool, c, [math.exp(-o / cfg.sigma) for o in ov[r, c].tolist()])
-            keep = pool >= cfg.score_floor
-            keep[run] = False
-            idx, pool, rows = idx[keep], pool[keep], rows[:, keep]
-    kept_idx, kept_scores = np.concatenate(kept_idx), np.concatenate(kept_scores)
-    order = np.lexsort((kept_idx, -kept_scores))
+    idx, kept = soft_nms_arrays(*as_arrays(dets), cfg)
     return [Detection(dets[i].box, dets[i].class_id, score)
-            for i, score in zip(kept_idx[order].tolist(), kept_scores[order].tolist())]
+            for i, score in zip(idx.tolist(), kept.tolist())]
 
 
 # ---------------------------------------------------------------------------

@@ -23,8 +23,8 @@ import numpy as np
 from . import images, nn, netdef
 from .anchors import AnchorSet, iou_wh, kmeans_anchors
 from .netdef import HeadOutput, NetGraph, parse_config
-from .postprocess import (Box, Detection, SoftNmsConfig, ciou_loss_grad, decode,
-                          evaluate, iou, sigmoid, soft_nms)
+from .postprocess import (Box, Detection, SoftNmsConfig, as_detections, ciou_loss_grad,
+                          decode_arrays, evaluate, iou, sigmoid, soft_nms_arrays)
 
 BCE_EPS = 1e-7
 
@@ -546,16 +546,21 @@ def detect_image(g: NetGraph, img: np.ndarray, score_floor: float,
 
     img is a float32 CHW array in [0, 1] of any size; the returned boxes are
     in its pixels. The graph needs anchors attached. A frame already at the
-    input size passes through the letterbox and the map back unchanged.
+    input size passes through the letterbox and the map back unchanged. The
+    candidates stay arrays until the return. Raises ImageError on an array
+    that is not CxHxW or has an empty side, ValueError on a score_floor that
+    is negative or NaN.
     """
+    if not score_floor >= 0:
+        raise ValueError(f"score_floor must be >= 0, got {score_floor}")
     size = g.input_shape[0]
     boxed, tf = images.letterbox(img, size)
     heads = netdef.forward(g, nn.Tensor(boxed[None]))
-    dets: list[Detection] = []
-    for head in heads:
-        anchors = g.anchors.for_scale_index(head.scale_index, len(heads))
-        dets.extend(decode(head, anchors, size, size, score_floor))
-    return images.map_detections_to_source(soft_nms(dets, nms), tf)
+    parts = [decode_arrays(head, g.anchors.for_scale_index(head.scale_index, len(heads)),
+                           size, size, score_floor) for head in heads]
+    boxes, classes, scores = (np.concatenate(p) for p in zip(*parts))
+    idx, kept = soft_nms_arrays(boxes, classes, scores, nms)
+    return as_detections(tf.boxes_to_source(boxes[idx]), classes[idx], kept)
 
 
 def evaluate_toy(g: NetGraph, dataset, score_floor: float = 0.05) -> float:

@@ -157,16 +157,19 @@ def test_letterbox_square_image_fills_canvas():
     assert np.array_equal(canvas, images.resize_nearest(img, 64, 64))
 
 
+@pytest.mark.parametrize("shape", [(3, 0, 20), (3, 20, 0), (0, 20, 20), (20, 20),
+                                   (1, 3, 20, 20)])
+def test_letterbox_rejects_empty_or_non_chw_arrays(shape):
+    with pytest.raises(ImageError, match="CxHxW"):
+        images.letterbox(np.zeros(shape, dtype=np.float32), 32)
+
+
 def test_letterbox_transform_inverse_identity():
     t = LetterboxTransform(scale=0.37, pad_x=11.0, pad_y=3.0)
     rng = np.random.default_rng(19)
-    for _ in range(200):
-        b = Box(*(rng.random(4) * 100 + 1))
-        canvas = Box(b.cx * t.scale + t.pad_x, b.cy * t.scale + t.pad_y,
-                     b.w * t.scale, b.h * t.scale)
-        r = t.box_to_source(canvas)
-        for got, want in zip((r.cx, r.cy, r.w, r.h), (b.cx, b.cy, b.w, b.h)):
-            assert got == pytest.approx(want, abs=1e-9)
+    src = rng.random((200, 4)) * 100 + 1
+    canvas = src * t.scale + (t.pad_x, t.pad_y, 0.0, 0.0)
+    np.testing.assert_allclose(t.boxes_to_source(canvas), src, rtol=0, atol=1e-9)
 
 
 def test_map_detections_to_source():

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from edgeyolo import nn
+from edgeyolo import nn, postprocess
 from edgeyolo.netdef import HeadOutput
 from edgeyolo.postprocess import (Box, Detection, SoftNmsConfig, ciou_loss,
                                   ciou_loss_grad, corner_iou, decode, evaluate,
@@ -131,6 +131,18 @@ def test_decode_drops_overflowing_box_sizes():
         assert soft_nms(dets) == []
     raw[0, 2] = 5.0
     assert len(decode(_head_from_raw(raw), np.array([[5.0, 5.0]]), 32, 32, 0.5)) == 4
+
+
+def test_decode_takes_the_class_of_the_largest_saturated_logit():
+    # sigmoid(40) and sigmoid(50) both round to 1.0; ranking the sigmoids
+    # picked the first such class, ranking the logits picks the largest
+    raw = np.zeros((1, 8, 1, 1))                    # 1 anchor, 3 classes
+    raw[0, 4] = 4.0
+    raw[0, 5:, 0, 0] = (40.0, 50.0, 45.0)
+    assert sigmoid(40.0) == sigmoid(50.0) == 1.0
+    (d,) = decode(_head_from_raw(raw), np.array([[5.0, 5.0]]), 32, 32, 0.5)
+    assert d.class_id == 1
+    assert d.score == sigmoid(4.0)
 
 
 # ---------------------------------------------------------------------------
@@ -272,19 +284,17 @@ def test_soft_nms_drops_a_rival_decayed_below_the_floor_partway():
     assert soft_nms([a, b, c], cfg) == [a, b]
 
 
-@pytest.mark.parametrize("cfg", [SoftNmsConfig(), SoftNmsConfig(t_nms=0.0),
-                                 SoftNmsConfig(sigma=1e-6)],
-                         ids=["default", "zero_gate", "tiny_sigma"])
-def test_soft_nms_matches_oracle_on_crowded_classes(cfg):
-    # the loopback regime: hundreds of boxes per class on a 64 px canvas, far
-    # more than one pass's block, with scores drawn from a few repeated values
-    rng = np.random.default_rng(14)
-    levels = rng.uniform(0.2, 0.4, size=12)
+def _crowded_detections(rng, counts, n_levels):
+    # the loopback regime: many boxes per class on a 64 px canvas, with
+    # scores drawn from a few repeated values
+    levels = rng.uniform(0.2, 0.4, size=n_levels)
     dets = [Detection(b, cid, float(rng.choice(levels)))
-            for cid, n in ((0, 480), (1, 310))
+            for cid, n in enumerate(counts)
             for b in random_boxes(rng, n, canvas=64.0, min_wh=8.0, max_wh=40.0)]
-    dets = [dets[i] for i in rng.permutation(len(dets))]
-    got = soft_nms(dets, cfg)
+    return [dets[i] for i in rng.permutation(len(dets))]
+
+
+def _assert_matches_oracle(got, dets, cfg):
     want = soft_nms_oracle(dets, cfg.sigma, cfg.t_nms, cfg.score_floor)
     assert len(got) == len(want)
     # the oracle breaks cross-class score ties by class, soft_nms by index
@@ -294,6 +304,48 @@ def test_soft_nms_matches_oracle_on_crowded_classes(cfg):
     rank = {d.box: i for i, d in enumerate(dets)}
     keys = [(-d.score, rank[d.box]) for d in got]
     assert keys == sorted(keys)
+
+
+CROWDED_CFGS = pytest.mark.parametrize(
+    "cfg", [SoftNmsConfig(), SoftNmsConfig(t_nms=0.0), SoftNmsConfig(sigma=1e-6)],
+    ids=["default", "zero_gate", "tiny_sigma"])
+
+
+@CROWDED_CFGS
+def test_soft_nms_matches_oracle_on_crowded_classes(cfg):
+    # far more boxes per class than one pass's block
+    dets = _crowded_detections(np.random.default_rng(14), (480, 310), 12)
+    _assert_matches_oracle(soft_nms(dets, cfg), dets, cfg)
+
+
+@CROWDED_CFGS
+def test_soft_nms_pass_rule_is_exact_at_every_block_size(cfg, monkeypatch):
+    # a block of 1 is the one-box loop; larger blocks must agree bit for bit
+    rng = np.random.default_rng(15)
+    sets = [_crowded_detections(rng, (90, 60), 4) for _ in range(3)]
+    monkeypatch.setattr(postprocess, "NMS_BLOCK", 1)
+    base = [soft_nms(dets, cfg) for dets in sets]
+    for block in (1, 2, 5, 32):
+        monkeypatch.setattr(postprocess, "NMS_BLOCK", block)
+        for dets, want in zip(sets, base):
+            got = soft_nms(dets, cfg)
+            assert got == want, block
+            _assert_matches_oracle(got, dets, cfg)
+
+
+def test_soft_nms_block_box_decayed_to_the_bound_waits_for_a_lower_index(monkeypatch):
+    # block of 2: a, then b. a decays b to exactly c's score; c sits outside
+    # the block at a lower index, so c is kept next and decays b once more
+    cfg = SoftNmsConfig(sigma=0.5, t_nms=0.3, score_floor=0.001)
+    a = Detection(Box(10, 10, 10, 10), 0, 0.9)
+    b = Detection(Box(14, 10, 10, 10), 0, 0.8)
+    tie = b.score * math.exp(-iou(a.box, b.box) / cfg.sigma)
+    c = Detection(Box(19, 10, 10, 10), 0, tie)
+    assert iou(a.box, c.box) < cfg.t_nms <= iou(b.box, c.box)
+    monkeypatch.setattr(postprocess, "NMS_BLOCK", 2)
+    out = soft_nms([c, a, b], cfg)
+    assert out == [a, c, Detection(b.box, 0, tie * math.exp(-iou(b.box, c.box) / cfg.sigma))]
+    assert out == soft_nms_oracle([c, a, b], cfg.sigma, cfg.t_nms, cfg.score_floor)
 
 
 def test_soft_nms_drops_a_class_whose_best_box_is_below_the_floor():

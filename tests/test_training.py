@@ -7,6 +7,7 @@ import pytest
 
 from edgeyolo import images, nn, netdef
 from edgeyolo.anchors import AnchorSet
+from edgeyolo.edgecloud.live import demo_setup
 from edgeyolo.netdef import HeadOutput, parse_config
 from edgeyolo.postprocess import Box, SoftNmsConfig, ciou_loss, decode, soft_nms
 from edgeyolo.training import (OptimizerConfig, ToyScenario,
@@ -642,3 +643,27 @@ def test_detect_image_at_input_size_skips_nothing_and_changes_nothing(rng):
     got = detect_image(g, img, DETECT_FLOOR)
     assert len(got) > 0
     assert _bits(got) == _bits(want)
+
+
+def test_detect_image_equals_the_list_chain_on_several_heads_and_classes(rng):
+    # the chain perfbench's detect-416 runs: decode per head, soft_nms, map back
+    g, _ = demo_setup(0)
+    assert len(g.head_grids()) == 3 and g.num_classes == 3
+    img = rng.random((3, 48, 80), dtype=np.float32)
+    boxed, tf = images.letterbox(img, 64)
+    heads = netdef.forward(g, nn.Tensor(boxed[None]))
+    dets = [d for head in heads
+            for d in decode(head, g.anchors.for_scale_index(head.scale_index, 3),
+                            64, 64, DETECT_FLOOR)]
+    want = images.map_detections_to_source(soft_nms(dets, SoftNmsConfig()), tf)
+    got = detect_image(g, img, DETECT_FLOOR)
+    assert len({d.class_id for d in got}) == 3 and len(got) > 100
+    assert _bits(got) == _bits(want)
+
+
+def test_detect_image_rejects_an_empty_frame_and_a_nan_floor(rng):
+    g = _detect_graph()
+    with pytest.raises(images.ImageError):
+        detect_image(g, np.zeros((3, 0, 20), dtype=np.float32), DETECT_FLOOR)
+    with pytest.raises(ValueError, match="score_floor"):
+        detect_image(g, rng.random((3, 32, 32), dtype=np.float32), math.nan)
