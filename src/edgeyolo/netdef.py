@@ -72,6 +72,10 @@ class TruncatedWeightsError(WeightsError):
     pass
 
 
+class NonFiniteWeightsError(WeightsError):
+    pass
+
+
 def fnv1a64(data: bytes) -> int:
     h = _FNV_OFFSET
     for b in data:
@@ -559,8 +563,13 @@ def load_weights(g: NetGraph, source: str | Path | bytes) -> NetGraph:
             if end > len(blob):
                 raise TruncatedWeightsError(
                     f"blob ends inside conv layer {sp.index} ({key})")
-            p[key] = np.frombuffer(blob, dtype="<f4", count=n_items,
-                                   offset=off).astype(np.float32).reshape(shape)
+            a = np.frombuffer(blob, dtype="<f4", count=n_items,
+                              offset=off).astype(np.float32).reshape(shape)
+            # min and max are finite exactly when every value is
+            if not (np.isfinite(a.min()) and np.isfinite(a.max())):
+                raise NonFiniteWeightsError(
+                    f"conv layer {sp.index} ({key}) holds a NaN or infinite value")
+            p[key] = a
             off = end
         params[sp.index] = p
     if off != len(blob):

@@ -7,16 +7,19 @@ pure functions of their inputs, so identical inputs always produce
 bitwise-identical outputs.
 
 Convolutions are lowered to GEMMs (im2col: Chellapilla et al. 2006; cuDNN,
-Chetlur et al. 2014). `_columns` copies the zero-padded input into a column
-matrix of shape (n, cin*k*k, hout*wout), one strided copy per kernel tap,
-with rows in the weights' (c, ki, kj) order, so the conv is
-`w.reshape(cout, cin*k*k)` times it. A 1x1/1 conv uses its input as the
-column matrix: no pad and no copy. `conv2d_raw` builds the matrix in bands
-of output rows whose columns fit in COLUMN_BAND_BYTES (one row at least),
-with one matmul per band into the output, so a 416 frame never holds its
-whole column matrix.
+Chetlur et al. 2014). `_columns` builds a column matrix of shape
+(n, cin*k*k, hout*wout), rows in the weights' (c, ki, kj) order, so the conv
+is `w.reshape(cout, cin*k*k)` times it. It reads the unpadded input: each
+kernel tap copies only its in-range slice, and the strips that fall on the
+zero padding are zeroed in one write per kernel row and one per kernel
+column. No padded copy of the input is made. A 1x1/1 conv uses its input as
+the column matrix: no copy. `conv2d_raw` builds the matrix in bands of output
+rows whose columns fit in COLUMN_BAND_BYTES (one row at least), with one
+matmul per band into the output, so a 416 frame never holds its whole column
+matrix.
 `conv2d_backward` builds it whole; one matmul gives dW, one gives the dX
-columns, and a k*k scatter-add (col2im) folds those onto the padded input.
+columns, and a k*k scatter-add (col2im) folds each tap's in-range part into
+a contiguous dX.
 
 Dtypes: outputs and gradients keep the dtype of the float inputs. No kernel
 multiplies by a float64 constant array, so a float32 graph trains in float32.
@@ -95,7 +98,6 @@ def conv2d_raw(x: np.ndarray, w: np.ndarray, b: np.ndarray, stride: int) -> np.n
         raise ShapeError(f"conv expects {cin_w} input channels, got {cin}")
     hout = conv_out_size(h, k, stride)
     wout = conv_out_size(wd, k, stride)
-    xp = _pad(x, k // 2)
     wm = w.reshape(cout, cin * k * k)
     y = np.empty((n, cout, hout * wout), dtype=np.result_type(x, w))
     if k == 1 and stride == 1:
@@ -105,8 +107,7 @@ def conv2d_raw(x: np.ndarray, w: np.ndarray, b: np.ndarray, stride: int) -> np.n
     for r0 in range(0, hout, band):
         r1 = min(r0 + band, hout)
         # one statement, so a band's columns are freed before the next is built
-        np.matmul(wm, _columns(xp[:, :, r0 * stride:(r1 - 1) * stride + k],
-                               k, stride, r1 - r0, wout),
+        np.matmul(wm, _columns(x, k, stride, r0, r1, wout),
                   out=y[:, :, r0 * wout:r1 * wout])
     y += b[None, :, None]
     return y.reshape(n, cout, hout, wout)
@@ -116,20 +117,19 @@ def conv2d_backward(dy: np.ndarray, x: np.ndarray, w: np.ndarray,
                     stride: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     n, cin, h, wd = x.shape
     cout, _, k, _ = w.shape
-    pad = k // 2
     hout, wout = dy.shape[2], dy.shape[3]
     dyr = dy.reshape(n, cout, hout * wout)
-    cols = _columns(_pad(x, pad), k, stride, hout, wout)
+    cols = _columns(x, k, stride, 0, hout, wout)
     dw = np.matmul(dyr, cols.transpose(0, 2, 1)).sum(axis=0)
     dcols = np.matmul(w.reshape(cout, cin * k * k).T, dyr)
     db = dy.sum(axis=(0, 2, 3))
-    dxp = np.zeros((n, cin, h + 2 * pad, wd + 2 * pad), dtype=x.dtype)
+    dx = np.zeros(x.shape, dtype=x.dtype)
     taps = dcols.reshape(n, cin, k, k, hout, wout)
-    for ki in range(k):
-        for kj in range(k):
-            dxp[:, :, ki:ki + stride * hout:stride,
-                kj:kj + stride * wout:stride] += taps[:, :, ki, kj]
-    dx = dxp[:, :, pad:pad + h, pad:pad + wd]
+    col_spans = _tap_spans(k, stride, 0, wout, wd)
+    for ki, (a, b, si) in enumerate(_tap_spans(k, stride, 0, hout, h)):
+        for kj, (c, d, sj) in enumerate(col_spans):
+            if a < b and c < d:
+                dx[:, :, si, sj] += taps[:, :, ki, kj, a:b, c:d]
     return dx, dw.reshape(w.shape).astype(w.dtype, copy=False), db
 
 
@@ -138,20 +138,51 @@ def _pad(x: np.ndarray, pad: int, value: float = 0.0) -> np.ndarray:
                   constant_values=value) if pad else x
 
 
-def _columns(xp: np.ndarray, k: int, stride: int, hout: int, wout: int) -> np.ndarray:
-    """Column matrix (n, cin*k*k, hout*wout) of a padded input, rows in w's (c, ki, kj) order.
+def _tap_spans(k: int, stride: int, lo: int, hi: int,
+               size: int) -> list[tuple[int, int, slice]]:
+    """Per kernel offset t < k along one axis: the outputs [a, b) within
+    [lo, hi) whose tap lands on the input (not on its k // 2 padding), and
+    the input slice they read; a == b when all of them land on padding."""
+    spans = []
+    for t in range(k):
+        off = t - k // 2
+        a = min(max(lo, -(off // stride)), hi)
+        b = max(a, min(hi, (size - 1 - off) // stride + 1))
+        spans.append((a, b, slice(a * stride + off, (b - 1) * stride + off + 1, stride)))
+    return spans
 
-    One strided copy per kernel tap; a 1x1/1 conv gets a view of xp.
+
+def _columns(x: np.ndarray, k: int, stride: int, r0: int, r1: int,
+             wout: int) -> np.ndarray:
+    """Column matrix (n, cin*k*k, (r1-r0)*wout) of output rows r0..r1-1 of a
+    same-padded conv of x, rows in w's (c, ki, kj) order.
+
+    One copy of the in-range slice per kernel tap; the padding strips are
+    zeroed per kernel row and per kernel column. A 1x1 conv reads x directly
+    (a view when the stride is 1).
     """
-    n, cin = xp.shape[:2]
+    n, cin = x.shape[:2]
     if k == 1:
-        return xp[:, :, ::stride, ::stride].reshape(n, cin, hout * wout)
-    cols = np.empty((n, cin, k, k, hout, wout), dtype=xp.dtype)
-    for ki in range(k):
-        for kj in range(k):
-            cols[:, :, ki, kj] = xp[:, :, ki:ki + stride * hout:stride,
-                                    kj:kj + stride * wout:stride]
-    return cols.reshape(n, cin * k * k, hout * wout)
+        return x[:, :, r0 * stride:r1 * stride:stride, ::stride].reshape(
+            n, cin, (r1 - r0) * wout)
+    cols = np.empty((n, cin, k, k, r1 - r0, wout), dtype=x.dtype)
+    row_spans = _tap_spans(k, stride, r0, r1, x.shape[2])
+    col_spans = _tap_spans(k, stride, 0, wout, x.shape[3])
+    for ki, (a, b, _) in enumerate(row_spans):
+        if a > r0:
+            cols[:, :, ki, :, :a - r0] = 0
+        if b < r1:
+            cols[:, :, ki, :, b - r0:] = 0
+    for kj, (c, d, _) in enumerate(col_spans):
+        if c > 0:
+            cols[:, :, :, kj, :, :c] = 0
+        if d < wout:
+            cols[:, :, :, kj, :, d:] = 0
+    for ki, (a, b, si) in enumerate(row_spans):
+        for kj, (c, d, sj) in enumerate(col_spans):
+            if a < b and c < d:
+                cols[:, :, ki, kj, a - r0:b - r0, c:d] = x[:, :, si, sj]
+    return cols.reshape(n, cin * k * k, (r1 - r0) * wout)
 
 
 def batchnorm_infer_raw(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
@@ -162,24 +193,39 @@ def batchnorm_infer_raw(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
 
 def batchnorm_train_forward(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
                             eps: float) -> tuple[np.ndarray, tuple]:
-    """Normalize by batch statistics (biased variance over n,h,w)."""
-    mu = x.mean(axis=(0, 2, 3))
-    var = x.var(axis=(0, 2, 3))
+    """Normalize by batch statistics (biased variance over n,h,w).
+
+    Bitwise np.mean and np.var: one add.reduce each, divided by an intp count.
+    The input is centred once; the variance squares a second buffer, which
+    then holds y.
+    """
+    axes = (0, 2, 3)
+    m = np.intp(x.shape[0] * x.shape[2] * x.shape[3])
+    mu = np.add.reduce(x, axis=axes, keepdims=True)
+    np.true_divide(mu, m, out=mu, casting="unsafe")
+    xhat = x - mu
+    y = np.square(xhat)
+    var = np.add.reduce(y, axis=axes)
+    np.true_divide(var, m, out=var, casting="unsafe")
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x - mu[None, :, None, None]) * inv[None, :, None, None]
-    y = gamma[None, :, None, None] * xhat + beta[None, :, None, None]
-    return y, (xhat, inv, gamma, mu, var)
+    xhat *= inv[None, :, None, None]
+    np.multiply(gamma[None, :, None, None], xhat, out=y)
+    y += beta[None, :, None, None]
+    return y, (xhat, inv, gamma, mu.reshape(-1), var)
 
 
 def batchnorm_train_backward(dy: np.ndarray, cache: tuple) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     xhat, inv, gamma, _, _ = cache
     m = dy.shape[0] * dy.shape[2] * dy.shape[3]
-    dgamma = (dy * xhat).sum(axis=(0, 2, 3))
+    t = dy * xhat
+    dgamma = t.sum(axis=(0, 2, 3))
     dbeta = dy.sum(axis=(0, 2, 3))
-    gi = (gamma * inv)[None, :, None, None]
-    dx = gi * (dy
-               - dbeta[None, :, None, None] / m
-               - xhat * dgamma[None, :, None, None] / m)
+    # dx = gamma*inv * (dy - dbeta/m - xhat*dgamma/m), in that order, in two buffers
+    np.multiply(xhat, dgamma[None, :, None, None], out=t)
+    t /= m
+    dx = dy - dbeta[None, :, None, None] / m
+    dx -= t
+    np.multiply((gamma * inv)[None, :, None, None], dx, out=dx)
     return dx, dgamma, dbeta
 
 

@@ -575,11 +575,13 @@ def test_corrupted_push_keeps_prior_weights():
     broken_magic = bytearray(good)
     broken_magic[0] ^= 0xFF
     truncated = good[:-100]
-    for bad in (bytes(broken_magic), truncated):
+    one_nan = good[:-4] + struct.pack("<f", float("nan"))
+    for bad in (bytes(broken_magic), truncated, one_nan):
         applied = edge.handle_push(Message(WEIGHT_PUSH, version_before + 1, bad))
         assert applied is False
         assert edge.version == version_before
     assert any("rejected push" in line for line in edge.log)
+    assert "rejected push" in edge.log[-1] and "NaN" in edge.log[-1]
     for p, s in zip(edge.graph.params, snap):
         if p is None:
             continue

@@ -430,6 +430,18 @@ def test_error_names_offending_layer():
     assert "layer" in str(ei.value)
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("where", ["first", "last"])
+def test_load_rejects_non_finite_values(value, where):
+    buf = io.BytesIO()
+    save_weights(build_tiny(), buf)
+    blob = bytearray(buf.getvalue())
+    at = netdef._HEADER.size if where == "first" else len(blob) - 4
+    blob[at:at + 4] = struct.pack("<f", value)
+    with pytest.raises(netdef.NonFiniteWeightsError, match="layer"):
+        load_weights(parse_config(TINY), bytes(blob))
+
+
 def _param_bits(g):
     return [{k: v.tobytes() for k, v in p.items()} if p is not None else None
             for p in g.params]
@@ -438,7 +450,8 @@ def _param_bits(g):
 @pytest.mark.parametrize("spoil", [
     lambda blob: blob + b"\x00",
     lambda blob: blob[:len(blob) - 20],         # ends inside the last conv
-], ids=["trailing-byte", "mid-layer-truncation"])
+    lambda blob: blob[:-4] + struct.pack("<f", float("nan")),   # last conv's last bias
+], ids=["trailing-byte", "mid-layer-truncation", "nan-last-value"])
 def test_failed_load_leaves_the_graph_unchanged(spoil):
     g = build_tiny(seed=1)
     params, bits = g.params, _param_bits(g)

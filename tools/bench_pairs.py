@@ -14,12 +14,13 @@ goes first alternates from pair to pair, so a drift in host load falls on both
 sides. Pair i uses seed seeds[i % len(seeds)]. Each side then makes one traced
 run per workload on the first seed, also run_seconds long.
 
-The JSON holds the CPU model and, per side, the environment record run.py
-prints (commit, source digest, Python, numpy, BLAS and its threads); the
-seeds; every pair's end-to-end metrics and check result; per side the median
-and quartiles of each metric; per metric the number of pairs in which the
-working tree is better (the direction comes from BENCHMARK.json); and the
-traced runs' per-layer metrics and tables.
+The JSON holds the CPU model; the seeds; per workload and side, the
+environment record run.py prints (commit, source digest, Python, numpy, BLAS
+and its threads, which differ between workloads); every pair's end-to-end
+metrics and check result; per side the median and quartiles of each metric;
+per metric the number of pairs in which the working tree is better (the
+direction comes from BENCHMARK.json); and the traced runs' per-layer metrics
+and tables.
 """
 
 from __future__ import annotations
@@ -125,7 +126,7 @@ def main(argv=None) -> int:
         export(args.base, base_tree)
         trees = {"base": base_tree, "change": ROOT}
         for wl in (w["name"] for w in spec["workloads"]):
-            pairs = []
+            pairs, env = [], {}
             for i in range(args.pairs):
                 seed = args.seeds[i % len(args.seeds)]
                 order = ("base", "change") if i % 2 == 0 else ("change", "base")
@@ -134,12 +135,12 @@ def main(argv=None) -> int:
                     r = run(trees[side], wl, seed, seconds, 0)
                     pair[side] = r["metrics"]
                     pair[side + "_correct"] = r["correct"] and r["exit"] == 0
-                    report[side].setdefault("env", r["env"])
+                    env.setdefault(side, r["env"])
                 pairs.append(pair)
                 print(f"{wl} pair {i + 1}/{args.pairs} seed {seed}: throughput "
                       f"{pair['base']['throughput_ops_s']:.3g} -> "
                       f"{pair['change']['throughput_ops_s']:.3g} ops/s", flush=True)
-            entry = {"pairs": pairs, "summary": summarize(
+            entry = {"env": env, "pairs": pairs, "summary": summarize(
                 [{s: p[s] for s in ("base", "change")} for p in pairs], better), "traced": {}}
             for side in ("base", "change"):
                 r = run(trees[side], wl, args.seeds[0], seconds, 1)
