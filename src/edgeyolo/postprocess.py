@@ -236,6 +236,57 @@ def decode(head: HeadOutput, anchors, img_w: float, img_h: float,
 
 # a pass takes its picks from this many of a class's best live boxes
 NMS_BLOCK = 32
+# the rival search builds at most about this many candidate pairs at a time
+PAIR_CHUNK = 1 << 14
+# below this area a float IoU can be far from the exact one (underflow)
+_TINY_AREA = 2.0 ** -500
+
+
+def _rival_pairs(rows, t_nms: float, limit: float):
+    """A class's rival pairs: positions (a, b) with a != b and their IoU,
+    for every pair whose IoU is positive and at least t_nms.
+
+    rows are the class's boxes as _iou takes them. Returns None when the
+    sweep yields more than limit candidate pairs, or when a box is so small
+    that its float IoU may exceed the exact one by more than rounding.
+    """
+    x1, y1, x2, y2, area = rows
+    # a box without positive finite size has IoU 0 or NaN with every box
+    sub = np.flatnonzero((x2 > x1) & (y2 > y1) & np.isfinite(area))
+    if (area[sub] < _TINY_AREA).any():
+        return None
+    # IoU >= t needs each axis' 1-D IoU >= t, and so the boxes shrunk about
+    # their centres by (1 - t) / (1 + t) to overlap. The pad, far above a
+    # few ulps, covers the rounding of the float IoU and of the shrink.
+    q = t_nms / (1.0 + t_nms)
+    lo, hi = [], []
+    for e1, e2 in ((x1[sub], x2[sub]), (y1[sub], y2[sub])):
+        shrink, pad = q * (e2 - e1), 1e-12 * (np.abs(e1) + np.abs(e2))
+        lo.append(e1 + shrink - pad)
+        hi.append(e2 - shrink + pad)
+    order = np.argsort(lo[0], kind="stable")
+    sub, lo, hi = sub[order], [v[order] for v in lo], [v[order] for v in hi]
+    # sorted by low x edge: box i's x candidates are the run i+1 .. end-1
+    n = sub.size
+    count = np.maximum(np.searchsorted(lo[0], hi[0], side="right") - np.arange(n) - 1, 0)
+    if count.sum() > limit:
+        return None
+    first = np.cumsum(count) - count                # offset of each box's run
+    found = [(sub[:0], sub[:0], np.empty(0))]
+    start = 0
+    while start < n:
+        # whole runs, about PAIR_CHUNK pairs
+        stop = int(np.searchsorted(first, first[start] + PAIR_CHUNK))
+        k = count[start:stop]
+        i = np.repeat(np.arange(start, stop), k)
+        j = i + 1 + np.arange(i.size) - np.repeat(first[start:stop] - first[start], k)
+        on_y = (lo[1][j] <= hi[1][i]) & (lo[1][i] <= hi[1][j])
+        a, b = sub[i[on_y]], sub[j[on_y]]
+        ov = _iou(rows[:, a], rows[:, b])
+        gate = (ov >= t_nms) & (ov > 0.0)
+        found.append((a[gate], b[gate], ov[gate]))
+        start = stop
+    return tuple(np.concatenate(v) for v in zip(*found))
 
 
 def _block_picks(s: list, pos: list, ov: list, stop: tuple, cfg: SoftNmsConfig) -> list:
@@ -268,6 +319,54 @@ def _block_picks(s: list, pos: list, ov: list, stop: tuple, cfg: SoftNmsConfig) 
     return picks
 
 
+def _rivals(pool, rows, cfg: SoftNmsConfig):
+    """A class's rival pairs if it takes the rival path (see soft_nms), else None.
+
+    The rival path pays for the candidate pairs once, the block passes for
+    a block x pool IoU per pass, so the rival path wins where most boxes
+    are kept and the candidates are few.
+    """
+    m = pool.size
+    if m <= NMS_BLOCK:
+        return None
+    floor, median = cfg.score_floor, float(np.partition(pool, m // 2)[m // 2])
+    # a floor of 0 drops nothing: ln(median / 0) passes any bound
+    if floor > 0 and math.log(median / floor) < 3 * cfg.t_nms / cfg.sigma:
+        return None
+    return _rival_pairs(rows, cfg.t_nms, 2 * NMS_BLOCK * m)
+
+
+def _rival_loop(pool, a, b, ov, cfg: SoftNmsConfig) -> tuple[np.ndarray, np.ndarray]:
+    """The one-box loop over a class's rival pairs (a, b) with IoU ov.
+
+    Returns which boxes are kept and every box's final score. A heap holds
+    the boxes that have a rival by (-score, position); each pick decays its
+    unpicked rivals. A box without a rival is kept at its score.
+    """
+    rivals = [[] for _ in range(pool.size)]
+    for i, j, o in zip(a.tolist(), b.tolist(), ov.tolist()):
+        f = math.exp(-o / cfg.sigma)
+        rivals[i].append((j, f))
+        rivals[j].append((i, f))
+    s = pool.tolist()
+    keep = [not r for r in rivals]
+    heap = [(-s[i], i) for i, r in enumerate(rivals) if r]
+    heapq.heapify(heap)
+    while heap:
+        neg, i = heapq.heappop(heap)
+        if -neg != s[i]:
+            continue                            # an entry from before a decay
+        keep[i] = True
+        for j, f in rivals[i]:
+            if not keep[j]:
+                v = s[j] * f
+                if v != s[j]:
+                    s[j] = v
+                    if v >= cfg.score_floor:    # else j is dropped
+                        heapq.heappush(heap, (-v, j))
+    return np.array(keep, dtype=bool), np.array(s)
+
+
 def soft_nms_arrays(boxes, classes, scores,
                     cfg: SoftNmsConfig = SoftNmsConfig()) -> tuple[np.ndarray, np.ndarray]:
     """soft_nms's core on (N, 4) (cx, cy, w, h) boxes, class ids and scores.
@@ -285,6 +384,12 @@ def soft_nms_arrays(boxes, classes, scores,
     for cls in np.unique(classes[live]):
         idx = np.flatnonzero(live & (classes == cls))
         pool, rows = scores[idx], all_rows[:, idx]
+        pairs = _rivals(pool, rows, cfg)
+        if pairs is not None:
+            keep, final = _rival_loop(pool, *pairs, cfg)
+            kept_idx.append(idx[keep])
+            kept_scores.append(final[keep])
+            continue
         while idx.size:
             # the pool stays in index order, so a stable sort breaks ties by index
             ranked = np.argsort(-pool, kind="stable")
@@ -323,7 +428,23 @@ def soft_nms(dets: Sequence[Detection], cfg: SoftNmsConfig = SoftNmsConfig()) ->
     rescaled, is dropped. As sigma approaches 0 this reproduces hard
     suppression at threshold t_nms. Raises ValueError on a non-finite score.
 
-    Each pass keeps several boxes at once. It ranks the class's NMS_BLOCK
+    Each class takes one of two exact paths, chosen from its own boxes.
+
+    The rival path is for a class of more than NMS_BLOCK boxes whose median
+    box survives three gated decays (ln(median / score_floor) >= 3 t_nms /
+    sigma), so that most boxes are kept, and whose sweep below finds at most
+    2 NMS_BLOCK candidate pairs per box. IoU is at most the 1-D IoU along
+    each axis, so IoU >= t needs the two boxes, each shrunk about its centre
+    by (1 - t) / (1 + t), to overlap on both axes. A sweep over the shrunk
+    boxes sorted by x finds those candidates, in chunks of about PAIR_CHUNK
+    pairs; IoU is computed for them alone, and the pairs at or above the
+    gate are the class's rivals. A heap then runs the one-box loop over the
+    boxes that have a rival; a box without one keeps its score. That is
+    exact: a pair below the gate, or at IoU 0 (a factor of exp(0) = 1), never
+    changes a score, and the heap keeps boxes in the loop's order, ties
+    included, so every score sees the same multiplications in the same order.
+
+    Every other class takes block passes. A pass ranks the class's NMS_BLOCK
     best live boxes by (score, lower index) and runs the one-box loop on
     them alone: it keeps the block's best current box and decays the rest
     of the block by it, for as long as that box still ranks ahead of the

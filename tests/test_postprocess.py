@@ -306,9 +306,9 @@ def _assert_matches_oracle(got, dets, cfg):
     assert keys == sorted(keys)
 
 
-CROWDED_CFGS = pytest.mark.parametrize(
-    "cfg", [SoftNmsConfig(), SoftNmsConfig(t_nms=0.0), SoftNmsConfig(sigma=1e-6)],
-    ids=["default", "zero_gate", "tiny_sigma"])
+CROWDED = [SoftNmsConfig(), SoftNmsConfig(t_nms=0.0), SoftNmsConfig(sigma=1e-6)]
+CROWDED_CFGS = pytest.mark.parametrize("cfg", CROWDED,
+                                       ids=["default", "zero_gate", "tiny_sigma"])
 
 
 @CROWDED_CFGS
@@ -346,6 +346,117 @@ def test_soft_nms_block_box_decayed_to_the_bound_waits_for_a_lower_index(monkeyp
     out = soft_nms([c, a, b], cfg)
     assert out == [a, c, Detection(b.box, 0, tie * math.exp(-iou(b.box, c.box) / cfg.sigma))]
     assert out == soft_nms_oracle([c, a, b], cfg.sigma, cfg.t_nms, cfg.score_floor)
+
+
+def _force_path(monkeypatch, path):
+    """Send every class down one soft-NMS path, whatever its boxes."""
+    if path == "rival":
+        monkeypatch.setattr(postprocess, "_rivals", lambda pool, rows, cfg:
+                            postprocess._rival_pairs(rows, cfg.t_nms, math.inf))
+    else:
+        monkeypatch.setattr(postprocess, "_rivals", lambda pool, rows, cfg: None)
+
+
+def _bits(dets):
+    """A detection list as (box object, class, score bits): NaN boxes compare."""
+    return [(id(d.box), d.class_id, d.score.hex()) for d in dets]
+
+
+@pytest.mark.parametrize("path", ["rival", "block"])
+def test_soft_nms_exactness_tests_hold_on_each_path(path, monkeypatch):
+    # the crowded classes split between the paths by themselves; force each
+    _force_path(monkeypatch, path)
+    for cfg in CROWDED:
+        test_soft_nms_matches_oracle_on_crowded_classes(cfg)
+        test_soft_nms_pass_rule_is_exact_at_every_block_size(cfg, monkeypatch)
+    test_soft_nms_block_box_decayed_to_the_bound_waits_for_a_lower_index(monkeypatch)
+
+
+def test_soft_nms_paths_are_bitwise_equal_on_loopback_frames(monkeypatch):
+    from edgeyolo.edgecloud.live import demo_setup
+    from edgeyolo.training import detect_image, generate_toy_dataset
+
+    g, sc = demo_setup(0)
+    frames = [img for img, _ in generate_toy_dataset(7, 3, sc.img_size, sc.num_classes)]
+    rivals, taken = postprocess._rivals, []
+
+    def noted(*args):
+        taken.append(rivals(*args))
+        return taken[-1]
+
+    monkeypatch.setattr(postprocess, "_rivals", noted)
+    natural = [postprocess.as_arrays(detect_image(g, img, sc.decode_floor)) for img in frames]
+    assert any(pairs is not None for pairs in taken)     # the loopback's regime
+    for path in ("rival", "block"):
+        _force_path(monkeypatch, path)
+        for img, want in zip(frames, natural):
+            got = postprocess.as_arrays(detect_image(g, img, sc.decode_floor))
+            assert [a.tobytes() for a in got] == [a.tobytes() for a in want], path
+
+
+@pytest.mark.parametrize("cfg", [
+    SoftNmsConfig(), SoftNmsConfig(t_nms=0.0), SoftNmsConfig(t_nms=1.0),
+    SoftNmsConfig(t_nms=1 / 3), SoftNmsConfig(sigma=1e-6),
+    SoftNmsConfig(score_floor=0.0), SoftNmsConfig(sigma=1e-6, t_nms=0.0, score_floor=0.0)],
+    ids=["default", "zero_gate", "unit_gate", "exact_gate", "tiny_sigma", "zero_floor",
+         "all_edges"])
+def test_soft_nms_paths_are_bitwise_equal_on_pair_search_edge_cases(cfg, monkeypatch):
+    edge = [Box(10, 10, 10, 10), Box(10, 10, 10, 10),       # identical
+            Box(10, 10, 4, 4), Box(10, 10, 10, 6),           # nested
+            Box(20, 10, 10, 10), Box(10, 20, 10, 10),        # touching
+            Box(15, 10, 10, 10),                             # IoU exactly 1/3
+            Box(12, 12, 0, 8), Box(12, 12, 8, 0),            # zero width, height
+            Box(math.nan, 10, 10, 10), Box(10, 10, math.inf, 10),
+            Box(-math.inf, 10, 10, 10), Box(10, 10, 10, -math.inf)]
+    assert iou(edge[0], edge[6]) == 1 / 3
+    # more boxes than a block, with tied scores, so the selection runs too
+    rng = np.random.default_rng(17)
+    levels = rng.uniform(0.2, 0.9, size=4)
+    boxes = edge + random_boxes(rng, 40, canvas=40.0, min_wh=4.0, max_wh=16.0)
+    dets = [Detection(b, 0, float(rng.choice(levels))) for b in boxes]
+    # areas near the smallest subnormal round the IoU of this pair, 0.27 in
+    # exact arithmetic, up to 1; the shrink bound does not hold there
+    u = 2.0 ** -537
+    tiny = [Box(0.7 * u, 0.5 * u, 1.4 * u, u), Box(1.5 * u, 0.5 * u, 1.4 * u, u)]
+    assert iou(*tiny) == 1.0
+    dets += [Detection(b, 1, 0.5) for b in tiny]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)     # inf - inf in the areas
+        want = _bits(soft_nms(dets, cfg))
+        for path in ("rival", "block"):
+            _force_path(monkeypatch, path)
+            assert _bits(soft_nms(dets, cfg)) == want, path
+
+
+def test_rival_pairs_find_every_pair_at_exactly_the_gate(rng):
+    # each pair's gate is its own float IoU, which rounding can put above
+    # the exact one: the shrunk boxes must still overlap
+    for _ in range(2000):
+        w1, w2, c = rng.uniform(1, 50), rng.uniform(1, 50), rng.uniform(0, 500)
+        x1 = c - w1 / 2 + rng.uniform(0, w1)
+        corners = np.array([(c - w1 / 2, 0.0, c + w1 / 2, 10.0), (x1, 0.0, x1 + w2, 10.0)])
+        gate = float(corner_iou(corners[0], corners[1]))
+        a, b, ov = postprocess._rival_pairs(
+            np.stack(postprocess._corner_rows(corners)), gate, math.inf)
+        assert ({*a.tolist(), *b.tolist()}, ov.tolist()) == ({0, 1}, [gate])
+
+
+def test_soft_nms_rival_path_evaluates_only_overlapping_pairs(monkeypatch):
+    # ROADMAP item 9: the rival path's work follows the rivals, not the pool
+    dets = _crowded_detections(np.random.default_rng(18), (480,), 8)
+    corners = np.array([d.box.corners() for d in dets])
+    overlapping = np.triu(corner_iou(corners[:, None], corners[None, :]) > 0, 1).sum()
+    iou_fn, evaluated = postprocess._iou, []
+
+    def counted_iou(a, b):
+        ov = iou_fn(a, b)
+        evaluated.append(ov.size)
+        return ov
+
+    monkeypatch.setattr(postprocess, "_iou", counted_iou)
+    _force_path(monkeypatch, "rival")
+    soft_nms(dets, SoftNmsConfig())
+    assert 0 < sum(evaluated) <= overlapping
 
 
 def test_soft_nms_drops_a_class_whose_best_box_is_below_the_floor():

@@ -7,12 +7,15 @@ Usage (from the repository root):
     python3 tools/bench_pairs.py --base HEAD~1 --pairs 10 --seeds 3,4 --out bench.json
 
 The base revision (default HEAD) is exported with `git archive` into a
-temporary directory. For each workload BENCHMARK.json lists and each pair,
-`perfbench/run.py --trace 0` runs once in the base export and once in this
-working tree, with the same seed and BENCHMARK.json's run_seconds. Which side
-goes first alternates from pair to pair, so a drift in host load falls on both
-sides. Pair i uses seed seeds[i % len(seeds)]. Each side then makes one traced
-run per workload on the first seed, also run_seconds long.
+temporary directory. If its src/ and perfbench/ are byte-identical to the
+working tree's (say, the change is already committed and --base is HEAD),
+the tool exits with an error before any run. For each workload
+BENCHMARK.json lists and each pair, `perfbench/run.py --trace 0` runs once
+in the base export and once in this working tree, with the same seed and
+BENCHMARK.json's run_seconds. Which side goes first alternates from pair
+to pair, so a drift in host load falls on both sides. Pair i uses seed
+seeds[i % len(seeds)]. Each side then makes one traced run per workload on
+the first seed, also run_seconds long.
 
 The JSON holds the CPU model; the seeds; per workload and side, the
 environment record run.py prints (commit, source digest, Python, numpy, BLAS
@@ -60,6 +63,13 @@ def git(*cmd: str) -> bytes:
 def export(rev: str, dest: Path) -> None:
     with tarfile.open(fileobj=io.BytesIO(git("archive", "--format=tar", rev))) as tar:
         tar.extractall(dest, filter="data")
+
+
+def program_files(tree: Path) -> dict[str, bytes]:
+    """What a perfbench run executes: the files under src/ and perfbench/."""
+    return {str(p.relative_to(tree)): p.read_bytes()
+            for top in ("src", "perfbench") for p in sorted((tree / top).rglob("*"))
+            if p.is_file() and "__pycache__" not in p.parts}
 
 
 def run(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
@@ -124,6 +134,9 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory(prefix="bench-base-") as tmp:
         base_tree = Path(tmp)
         export(args.base, base_tree)
+        if program_files(base_tree) == program_files(ROOT):
+            raise SystemExit(f"error: src/ and perfbench/ at {args.base} are byte-identical "
+                             "to the working tree's; every pair would time one program")
         trees = {"base": base_tree, "change": ROOT}
         for wl in (w["name"] for w in spec["workloads"]):
             pairs, env = [], {}
