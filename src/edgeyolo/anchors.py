@@ -139,6 +139,8 @@ def kmeans_anchors(pairs, k: int, seed: int = 0, input_size: int = 416,
         raise ValueError("box extents must be positive and finite")
     if metric not in ("euclid", "iou"):
         raise ValueError(f"metric must be 'euclid' or 'iou', got {metric!r}")
+    if not input_size >= 1:
+        raise ValueError(f"input_size must be >= 1, got {input_size}")
 
     norm = pts / float(input_size)
     rng = np.random.default_rng(seed)

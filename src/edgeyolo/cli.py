@@ -256,11 +256,17 @@ def _net_from_profile(path: str | None) -> NetworkModel:
     if not path:
         return NetworkModel()
     spec = json.loads(Path(path).read_text())
+    if not isinstance(spec, dict):
+        raise ValueError(f"a net profile must be a JSON object, got {spec!r}")
     allowed = {"uplink_bps", "downlink_bps", "rtt_s", "loss_rate",
                "jitter_max_s"}
     unknown = set(spec) - allowed
     if unknown:
         raise ValueError(f"unknown net-profile keys: {sorted(unknown)}")
+    for key, value in spec.items():
+        # bool is an int subclass; true is no link rate
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ValueError(f"net-profile {key} must be a number, got {value!r}")
     return NetworkModel(**spec)
 
 

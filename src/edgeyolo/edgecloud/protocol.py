@@ -23,12 +23,10 @@ from typing import Protocol
 MAGIC = b"EYP1"
 
 FRAME_UPLOAD = 1
-DETECT_REQUEST = 2
-DETECT_RESULT = 3
 WEIGHT_PUSH = 4
 ACK = 5
 
-_TYPES = frozenset((FRAME_UPLOAD, DETECT_REQUEST, DETECT_RESULT, WEIGHT_PUSH, ACK))
+_TYPES = frozenset((FRAME_UPLOAD, WEIGHT_PUSH, ACK))
 _HEADER = struct.Struct("<4sBBII")
 _CRC = struct.Struct("<I")
 # ample for a weight push (the 416 preset's blob is 34,964,476 bytes) and

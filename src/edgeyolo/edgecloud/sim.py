@@ -19,6 +19,7 @@ from __future__ import annotations
 import csv
 import heapq
 import io
+import math
 import random
 from collections import deque
 from dataclasses import dataclass, field
@@ -53,12 +54,15 @@ class NetworkModel:
     jitter_max_s: float = 0.0
 
     def __post_init__(self):
-        if self.uplink_bps <= 0 or self.downlink_bps <= 0:
-            raise ValueError("link rates must be positive")
+        # written so that NaN fails each test
+        if not (0.0 < self.uplink_bps < math.inf and 0.0 < self.downlink_bps < math.inf):
+            raise ValueError("uplink_bps and downlink_bps must be positive and finite, "
+                             f"got {self.uplink_bps} and {self.downlink_bps}")
         if not 0.0 <= self.loss_rate < 1.0:
-            raise ValueError(f"loss rate must be in [0,1), got {self.loss_rate}")
-        if self.rtt_s < 0 or self.jitter_max_s < 0:
-            raise ValueError("delays cannot be negative")
+            raise ValueError(f"loss_rate must be in [0,1), got {self.loss_rate}")
+        if not (0.0 <= self.rtt_s < math.inf and 0.0 <= self.jitter_max_s < math.inf):
+            raise ValueError("rtt_s and jitter_max_s must be finite and >= 0, "
+                             f"got {self.rtt_s} and {self.jitter_max_s}")
 
 
 @dataclass(frozen=True)
@@ -74,6 +78,8 @@ class Scenario:
             raise ValueError(f"path must be 'ecc' or 'cloud', got {self.path!r}")
         if self.n_frames < 1:
             raise ValueError("need at least one frame")
+        if not 0.0 <= self.edge_infer_s < math.inf:
+            raise ValueError(f"edge_infer_s must be finite and >= 0, got {self.edge_infer_s}")
 
 
 @dataclass(frozen=True)

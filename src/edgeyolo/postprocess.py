@@ -289,33 +289,40 @@ def _rival_pairs(rows, t_nms: float, limit: float):
     return tuple(np.concatenate(v) for v in zip(*found))
 
 
-def _block_picks(s: list, pos: list, ov: list, stop: tuple, cfg: SoftNmsConfig) -> list:
-    """The one-box loop on a block: its picks, as block offsets in pick order.
+def _heap_picks(s: list, pos, pairs, stop: tuple, cfg: SoftNmsConfig) -> list:
+    """The one-box loop as a heap over rival pairs: its picks, in pick order.
 
-    s, pos and ov hold the block's scores, pool positions and IoU matrix in
-    rank order. Each pick decays the block's unpicked boxes in s, in place,
-    so a pick's entry in s is its kept score. A pick is the block's best box
-    by (score, lower position), taken while its key (-score, position) comes
-    before stop, the key of the best box outside the block.
+    s and pos hold the boxes' scores and pool positions; pairs holds the
+    offsets (a, b) into s of each rival pair, once, and its IoU. A pick is
+    the best unpicked box by (score, lower position), taken while its key
+    (-score, position) comes before stop. Each pick decays its unpicked
+    rivals in s, in place, so a pick's entry in s is its kept score. A box
+    decayed below the floor is never pushed again, so never picked.
     """
-    heap = [(-v, p, j) for j, (v, p) in enumerate(zip(s, pos))]   # sorted: a heap
-    left = list(range(len(s)))
+    a, b, ov = pairs
+    rivals = [[] for _ in s]
+    for i, j, o in zip(a.tolist(), b.tolist(), ov.tolist()):
+        rivals[i].append((j, o))
+        rivals[j].append((i, o))
+    heap = [(-v, p, j) for j, (v, p) in enumerate(zip(s, pos))]
+    heapq.heapify(heap)
+    picked = [False] * len(s)
     picks = []
     while heap:
-        neg, p, b = heapq.heappop(heap)
-        if -neg != s[b]:
+        neg, p, i = heapq.heappop(heap)
+        if -neg != s[i]:
             continue                            # an entry from before a decay
         if (neg, p) > stop:
             break
-        picks.append(b)
-        left.remove(b)
-        row = ov[b]
-        for j in left:
-            if row[j] >= cfg.t_nms:
-                v = s[j] * math.exp(-row[j] / cfg.sigma)
+        picked[i] = True
+        picks.append(i)
+        for j, o in rivals[i]:
+            if not picked[j]:
+                v = s[j] * math.exp(-o / cfg.sigma)
                 if v != s[j]:
                     s[j] = v
-                    heapq.heappush(heap, (-v, pos[j], j))
+                    if v >= cfg.score_floor:    # else j is dropped
+                        heapq.heappush(heap, (-v, pos[j], j))
     return picks
 
 
@@ -336,37 +343,6 @@ def _rivals(pool, rows, cfg: SoftNmsConfig):
     return _rival_pairs(rows, cfg.t_nms, 2 * NMS_BLOCK * m)
 
 
-def _rival_loop(pool, a, b, ov, cfg: SoftNmsConfig) -> tuple[np.ndarray, np.ndarray]:
-    """The one-box loop over a class's rival pairs (a, b) with IoU ov.
-
-    Returns which boxes are kept and every box's final score. A heap holds
-    the boxes that have a rival by (-score, position); each pick decays its
-    unpicked rivals. A box without a rival is kept at its score.
-    """
-    rivals = [[] for _ in range(pool.size)]
-    for i, j, o in zip(a.tolist(), b.tolist(), ov.tolist()):
-        f = math.exp(-o / cfg.sigma)
-        rivals[i].append((j, f))
-        rivals[j].append((i, f))
-    s = pool.tolist()
-    keep = [not r for r in rivals]
-    heap = [(-s[i], i) for i, r in enumerate(rivals) if r]
-    heapq.heapify(heap)
-    while heap:
-        neg, i = heapq.heappop(heap)
-        if -neg != s[i]:
-            continue                            # an entry from before a decay
-        keep[i] = True
-        for j, f in rivals[i]:
-            if not keep[j]:
-                v = s[j] * f
-                if v != s[j]:
-                    s[j] = v
-                    if v >= cfg.score_floor:    # else j is dropped
-                        heapq.heappush(heap, (-v, j))
-    return np.array(keep, dtype=bool), np.array(s)
-
-
 def soft_nms_arrays(boxes, classes, scores,
                     cfg: SoftNmsConfig = SoftNmsConfig()) -> tuple[np.ndarray, np.ndarray]:
     """soft_nms's core on (N, 4) (cx, cy, w, h) boxes, class ids and scores.
@@ -380,15 +356,17 @@ def soft_nms_arrays(boxes, classes, scores,
     all_rows = np.stack(_corner_rows(np.concatenate([boxes[:, :2] - half,
                                                      boxes[:, :2] + half], axis=1)))
     live = scores >= cfg.score_floor
+    no_stop = (-cfg.score_floor, math.inf)      # every live box's key comes before it
     kept_idx, kept_scores = [np.empty(0, dtype=np.intp)], [np.empty(0)]
     for cls in np.unique(classes[live]):
         idx = np.flatnonzero(live & (classes == cls))
         pool, rows = scores[idx], all_rows[:, idx]
         pairs = _rivals(pool, rows, cfg)
         if pairs is not None:
-            keep, final = _rival_loop(pool, *pairs, cfg)
-            kept_idx.append(idx[keep])
-            kept_scores.append(final[keep])
+            s = pool.tolist()
+            picks = _heap_picks(s, range(pool.size), pairs, no_stop, cfg)
+            kept_idx.append(idx[picks])
+            kept_scores.append(np.array([s[i] for i in picks]))
             continue
         while idx.size:
             # the pool stays in index order, so a stable sort breaks ties by index
@@ -397,13 +375,17 @@ def soft_nms_arrays(boxes, classes, scores,
             if ranked.size > top.size:
                 stop = (-float(pool[ranked[top.size]]), int(ranked[top.size]))
             else:                       # nothing outside: stop at the floor
-                stop = (-cfg.score_floor, math.inf)
+                stop = no_stop
             ov = _iou(rows[:, top, None], rows[:, None, :])
+            blk = ov[:, top]
+            a, b = np.nonzero((blk >= cfg.t_nms) & (blk > 0.0))
+            up = a < b                          # blk is symmetric: each pair once
+            a, b = a[up], b[up]
             s = pool[top].tolist()
-            picks = _block_picks(s, top.tolist(), ov[:, top].tolist(), stop, cfg)
+            picks = _heap_picks(s, top.tolist(), (a, b, blk[a, b]), stop, cfg)
             run = top[picks]
             kept_idx.append(idx[run])
-            kept_scores.append(np.array([s[b] for b in picks]))
+            kept_scores.append(np.array([s[i] for i in picks]))
             # the block's scores are final; the picks' decays go to the rest
             ov = ov[picks]
             ov[:, top] = -1.0                           # below every gate
@@ -428,7 +410,13 @@ def soft_nms(dets: Sequence[Detection], cfg: SoftNmsConfig = SoftNmsConfig()) ->
     rescaled, is dropped. As sigma approaches 0 this reproduces hard
     suppression at threshold t_nms. Raises ValueError on a non-finite score.
 
-    Each class takes one of two exact paths, chosen from its own boxes.
+    One function, _heap_picks, runs the one-box loop as a heap over a list
+    of rival pairs, those whose IoU is positive and at least t_nms. That is
+    exact: a pair below the gate, or at IoU 0 (a factor of exp(0) = 1),
+    never changes a score, and the heap picks in the loop's order, ties
+    included, so every score sees the same multiplications in the same
+    order. Each class takes its pairs from one of two sources, chosen from
+    its own boxes.
 
     The rival path is for a class of more than NMS_BLOCK boxes whose median
     box survives three gated decays (ln(median / score_floor) >= 3 t_nms /
@@ -437,24 +425,20 @@ def soft_nms(dets: Sequence[Detection], cfg: SoftNmsConfig = SoftNmsConfig()) ->
     each axis, so IoU >= t needs the two boxes, each shrunk about its centre
     by (1 - t) / (1 + t), to overlap on both axes. A sweep over the shrunk
     boxes sorted by x finds those candidates, in chunks of about PAIR_CHUNK
-    pairs; IoU is computed for them alone, and the pairs at or above the
-    gate are the class's rivals. A heap then runs the one-box loop over the
-    boxes that have a rival; a box without one keeps its score. That is
-    exact: a pair below the gate, or at IoU 0 (a factor of exp(0) = 1), never
-    changes a score, and the heap keeps boxes in the loop's order, ties
-    included, so every score sees the same multiplications in the same order.
+    pairs, and the loop runs once over the class, to the floor.
 
     Every other class takes block passes. A pass ranks the class's NMS_BLOCK
-    best live boxes by (score, lower index) and runs the one-box loop on
-    them alone: it keeps the block's best current box and decays the rest
-    of the block by it, for as long as that box still ranks ahead of the
+    best live boxes by (score, lower index) and runs the loop over the pairs
+    of their IoU block, for as long as the best box still ranks ahead of the
     best box outside the block, taken at its score when the pass began: a
     higher score, or an equal one and a lower index. A block box decayed to
     exactly that score with a higher index waits for the next pass. The
     picks' decays then go to the rest of the pool in pick order. That is
     exact: a score outside the block only falls during the pass, so the
-    one-box loop would keep the same boxes in the same order, and every
-    score sees the same multiplications in the same order as in that loop.
+    one-box loop would keep the same boxes in the same order. That holds for
+    a block box with no rival in the block too: nothing decays it in the
+    pass and it ranks ahead of every box outside, so the loop picks it in
+    this pass, in its place in the pick order that the pool's decays follow.
     """
     idx, kept = soft_nms_arrays(*as_arrays(dets), cfg)
     return [Detection(dets[i].box, dets[i].class_id, score)

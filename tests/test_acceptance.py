@@ -303,8 +303,9 @@ def test_criterion_07_toy_training():
 
 def test_criterion_08_round_trips():
     rng = np.random.default_rng(8)
+    types = (protocol.FRAME_UPLOAD, protocol.WEIGHT_PUSH, protocol.ACK)
     for trial in range(1000):
-        msg = protocol.Message(int(rng.integers(1, 6)),
+        msg = protocol.Message(types[int(rng.integers(0, 3))],
                                int(rng.integers(0, 2 ** 32)),
                                rng.bytes(int(rng.integers(0, 200))))
         back = protocol.decode_message(protocol.encode_message(msg))

@@ -100,6 +100,9 @@ def test_nonpositive_dims_rejected():
     for bad in (0.0, -1.0, np.nan, np.inf):
         with pytest.raises(ValueError, match="positive and finite"):
             kmeans_anchors(np.array([[4.0, bad], [3.0, 2.0]]), 1, seed=0)
+    for bad in (0, -5):
+        with pytest.raises(ValueError, match="input_size"):
+            kmeans_anchors(np.array([[4.0, 2.0], [3.0, 2.0]]), 1, seed=0, input_size=bad)
 
 
 def test_bad_metric_rejected(rng):

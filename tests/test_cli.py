@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 import socket
 import threading
 from pathlib import Path
@@ -310,11 +311,18 @@ def test_sim_ecc_reports_model_version(capsys):
 
 def test_sim_rejects_unknown_net_profile_key(capsys, tmp_path):
     prof = tmp_path / "net.json"
-    prof.write_text(json.dumps({"uplink_bps": 1e6, "bogus": 3}))
-    rc = cli.main(["sim", "--path", "cloud", "--frames", "5",
-                   "--net-profile", str(prof)])
-    assert rc == 1
-    assert "unknown net-profile keys" in capsys.readouterr().err
+    for spec, why in [({"uplink_bps": 1e6, "bogus": 3}, "unknown net-profile keys"),
+                      ({"rtt_s": "0.01"}, "rtt_s must be a number"),
+                      ({"uplink_bps": True}, "uplink_bps must be a number"),
+                      (3.0, "must be a JSON object"),
+                      ({"rtt_s": math.nan}, "rtt_s and jitter_max_s must be finite"),
+                      ({"jitter_max_s": math.inf}, "rtt_s and jitter_max_s must be finite")]:
+        prof.write_text(json.dumps(spec))
+        rc = cli.main(["sim", "--path", "cloud", "--frames", "5",
+                       "--net-profile", str(prof)])
+        assert rc == 1, spec
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and why in err, spec
 
 
 def test_sim_net_profile_override(capsys, tmp_path):

@@ -306,9 +306,11 @@ def _assert_matches_oracle(got, dets, cfg):
     assert keys == sorted(keys)
 
 
-CROWDED = [SoftNmsConfig(), SoftNmsConfig(t_nms=0.0), SoftNmsConfig(sigma=1e-6)]
-CROWDED_CFGS = pytest.mark.parametrize("cfg", CROWDED,
-                                       ids=["default", "zero_gate", "tiny_sigma"])
+# the last two drop boxes below the floor partway through a pass
+CROWDED = [SoftNmsConfig(), SoftNmsConfig(t_nms=0.0), SoftNmsConfig(sigma=1e-6),
+           SoftNmsConfig(score_floor=0.2), SoftNmsConfig(sigma=0.3, t_nms=0.3)]
+CROWDED_CFGS = pytest.mark.parametrize(
+    "cfg", CROWDED, ids=["default", "zero_gate", "tiny_sigma", "high_floor", "low_gate"])
 
 
 @CROWDED_CFGS
