@@ -5,7 +5,9 @@ One subcommand per capability: `detect` runs the full image pipeline,
 clusters labeled boxes, `train-toy` runs the synthetic-shapes training
 loop, `sim` runs the edge/cloud delay simulator, and `edge` / `cloud` run
 the live protocol roles over TCP. Every run is deterministic given its
-seed except bench timings. Exit code 0 means the run completed cleanly.
+seed except bench timings. Exit code 0 means the run completed cleanly;
+an error, such as an output path that cannot be written, prints an
+`error:` line and exits 1.
 """
 
 from __future__ import annotations
@@ -221,6 +223,10 @@ def _write_history(path: str, history: list[dict]) -> None:
 
 
 def cmd_train_toy(args) -> int:
+    # checked before the run: a write that fails after it loses the trained net
+    for path in (args.out, args.history):
+        if path and not Path(path).parent.is_dir():
+            return _fail(f"cannot write {path}: {Path(path).parent} is not a directory")
     try:
         result = train_toy(ToyScenario(seed=args.seed, steps=args.steps,
                                        eta=args.eta,
@@ -463,7 +469,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except OSError as e:                 # e.g. an output path in a missing directory
+        return _fail(str(e))
 
 
 if __name__ == "__main__":

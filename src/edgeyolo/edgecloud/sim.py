@@ -2,14 +2,18 @@
 
 CLOUD path: every captured frame crosses a serialized uplink, is inferred on
 the cloud GPU, and the result returns over the downlink; per-frame delay is
-capture-to-result. Because a raw frame takes longer to transmit than the
-capture interval, the uplink queue grows without bound and so does delay.
+capture-to-result. The three are FIFO servers in a row, each serving one
+job at a time while the rest wait. Because a raw frame takes longer to
+transmit than the capture interval, the uplink queue grows without bound
+and so does delay.
 
 ECC path: frames are detected on the device at a fixed latency, so delay is
 flat; captured frames also queue for background upload, which only runs
 during the IDLE part of a duty cycle. The cloud periodically retrains on
 the uploaded frames and pushes fresh weights back, bumping the edge model
-version.
+version. Each ECC link carries one transfer at a time by construction (one
+upload in flight; no retrain until the last push has landed), so a transfer
+is a timer, not a queue.
 
 The event loop is single-threaded and seeded; runs are bit-reproducible.
 """
@@ -19,7 +23,9 @@ from __future__ import annotations
 import csv
 import heapq
 import io
+import itertools
 import math
+import numbers
 import random
 from collections import deque
 from dataclasses import dataclass, field
@@ -76,8 +82,9 @@ class Scenario:
     def __post_init__(self):
         if self.path not in ("ecc", "cloud"):
             raise ValueError(f"path must be 'ecc' or 'cloud', got {self.path!r}")
-        if self.n_frames < 1:
-            raise ValueError("need at least one frame")
+        # the type test fails NaN and 2.5 alike; range() takes only an integer
+        if not (isinstance(self.n_frames, numbers.Integral) and self.n_frames >= 1):
+            raise ValueError(f"n_frames must be a positive integer, got {self.n_frames!r}")
         if not 0.0 <= self.edge_infer_s < math.inf:
             raise ValueError(f"edge_infer_s must be finite and >= 0, got {self.edge_infer_s}")
 
@@ -101,11 +108,7 @@ class SimResult:
 
     def prefix_mean_delays(self) -> list[float]:
         """mean(delays[:n]) for n = 1..N; the delay-vs-upload-count curve."""
-        out, acc = [], 0.0
-        for i, d in enumerate(self.delays, start=1):
-            acc += d
-            out.append(acc / i)
-        return out
+        return [acc / n for n, acc in enumerate(itertools.accumulate(self.delays), start=1)]
 
     def mean_delay(self) -> float:
         return sum(self.delays) / len(self.delays)
@@ -144,7 +147,7 @@ class _EventLoop:
 
 
 class _FifoLink:
-    """Single-server queue: one transfer (or job) in flight at a time."""
+    """Single-server queue: one transfer (or job) in flight at a time, the rest wait."""
 
     def __init__(self, loop: _EventLoop):
         self._loop = loop
@@ -177,175 +180,140 @@ def run_sim(sc: Scenario) -> SimResult:
     events: list[TraceEvent] = []
     delays: dict[int, float] = {}
     state = {"uploaded": 0, "version": 1, "retrained_at": 0, "retraining": False,
-             "captured": 0}
+             "uploading": False}
+    interval = 1.0 / CAPTURE_FPS
+    # Every capture is scheduled before any other event and same-time events
+    # run in insertion order, so at loop.now every capture up to loop.now has
+    # run: one is still to come exactly while loop.now < last_capture_t.
+    last_capture_t = (sc.n_frames - 1) * interval
 
     def log(node: str, event: str, frame_id: int | None = None,
             delay_s: float | None = None) -> None:
         events.append(TraceEvent(loop.now, node, event, frame_id, delay_s))
 
-    def one_way() -> float:
+    def hop(fn: Callable[[], None]) -> None:
+        """Run fn after one-way propagation: half the RTT plus jitter."""
         jitter = rng.uniform(0.0, sc.net.jitter_max_s) if sc.net.jitter_max_s > 0 else 0.0
-        return sc.net.rtt_s / 2.0 + jitter
+        loop.at(loop.now + (sc.net.rtt_s / 2.0 + jitter), fn)
 
-    uplink = _FifoLink(loop)
-    downlink = _FifoLink(loop)
-    cloud_gpu = _FifoLink(loop)
+    def upload_end(i: int) -> None:
+        state["uploaded"] += 1
+        log("cloud", "upload_end", i)
+
     up_tx = FRAME_BYTES * 8.0 / sc.net.uplink_bps
     down_tx = RESULT_BYTES * 8.0 / sc.net.downlink_bps
     weight_tx = WEIGHT_BYTES * 8.0 / sc.net.downlink_bps
 
     # ---------------- CLOUD path ----------------
 
-    def cloud_capture(i: int, capture_t: float):
-        def handler():
-            log("edge", "capture", i)
-            send_frame(i, capture_t)
-        return handler
+    uplink = _FifoLink(loop)
+    cloud_gpu = _FifoLink(loop)
+    downlink = _FifoLink(loop)
+
+    def cloud_capture(i: int) -> None:
+        log("edge", "capture", i)
+        send_frame(i, loop.now)
 
     def send_frame(i: int, capture_t: float) -> None:
-        def started():
-            log("edge", "upload_start", i)
+        uplink.submit(up_tx, lambda: log("edge", "upload_start", i),
+                      lambda: frame_sent(i, capture_t))
 
-        def done():
-            if sc.net.loss_rate > 0 and rng.random() < sc.net.loss_rate:
-                log("edge", "upload_lost", i)
-                send_frame(i, capture_t)     # retransmit; the frame is never dropped
-                return
-            arrive_at = loop.now + one_way()
-            loop.at(arrive_at, lambda: cloud_arrival(i, capture_t))
-
-        uplink.submit(up_tx, started, done)
+    def frame_sent(i: int, capture_t: float) -> None:
+        if sc.net.loss_rate > 0 and rng.random() < sc.net.loss_rate:
+            log("edge", "upload_lost", i)
+            send_frame(i, capture_t)         # retransmit; the frame is never dropped
+        else:
+            hop(lambda: cloud_arrival(i, capture_t))
 
     def cloud_arrival(i: int, capture_t: float) -> None:
-        state["uploaded"] += 1
-        log("cloud", "upload_end", i)
-        cloud_gpu.submit(CLOUD_INFER_S,
-                         lambda: log("cloud", "infer_start", i),
+        upload_end(i)
+        cloud_gpu.submit(CLOUD_INFER_S, lambda: log("cloud", "infer_start", i),
                          lambda: send_result(i, capture_t))
 
     def send_result(i: int, capture_t: float) -> None:
         log("cloud", "infer_end", i)
+        downlink.submit(down_tx, lambda: log("cloud", "result_start", i),
+                        lambda: hop(lambda: result_end(i, capture_t)))
 
-        def done():
-            deliver_at = loop.now + one_way()
-
-            def delivered():
-                delays[i] = loop.now - capture_t
-                log("edge", "result_end", i, delays[i])
-
-            loop.at(deliver_at, delivered)
-
-        downlink.submit(down_tx, lambda: log("cloud", "result_start", i), done)
+    def result_end(i: int, capture_t: float) -> None:
+        delays[i] = loop.now - capture_t
+        log("edge", "result_end", i, delays[i])
 
     # ---------------- ECC path ----------------
 
     upload_queue: deque[int] = deque()
     active_len = DUTY_PERIOD_S * ACTIVE_FRAC
 
-    def is_idle(t: float) -> bool:
-        return (t % DUTY_PERIOD_S) >= active_len - 1e-12
+    def ecc_capture(i: int) -> None:
+        log("edge", "capture", i)
+        log("edge", "infer_start", i)
+        loop.at(loop.now + sc.edge_infer_s, lambda: infer_end(i))
+        upload_queue.append(i)
+        pump_uploads()
 
-    def ecc_capture(i: int, capture_t: float):
-        def handler():
-            log("edge", "capture", i)
-            log("edge", "infer_start", i)
-
-            def inferred():
-                delays[i] = sc.edge_infer_s
-                log("edge", "infer_end", i, sc.edge_infer_s)
-
-            loop.at(capture_t + sc.edge_infer_s, inferred)
-            upload_queue.append(i)
-            pump_uploads()
-        return handler
-
-    uploading = {"busy": False}
+    def infer_end(i: int) -> None:
+        delays[i] = sc.edge_infer_s
+        log("edge", "infer_end", i, sc.edge_infer_s)
 
     def pump_uploads() -> None:
         # uploads only start inside an idle window and run one at a time
-        if uploading["busy"] or not upload_queue or not is_idle(loop.now):
+        if state["uploading"] or not upload_queue or \
+                loop.now % DUTY_PERIOD_S < active_len - 1e-12:
             return
         i = upload_queue.popleft()
-        uploading["busy"] = True
+        state["uploading"] = True
+        log("edge", "upload_start", i)
+        loop.at(loop.now + up_tx, lambda: upload_sent(i))
 
-        def done():
-            arrive_at = loop.now + one_way()
+    def upload_sent(i: int) -> None:
+        hop(lambda: upload_end(i))
+        state["uploading"] = False
+        pump_uploads()
 
-            def arrived():
-                state["uploaded"] += 1
-                log("cloud", "upload_end", i)
+    def uploads_left() -> bool:
+        return bool(upload_queue) or state["uploading"] or loop.now < last_capture_t
 
-            loop.at(arrive_at, arrived)
-            uploading["busy"] = False
-            pump_uploads()
+    def idle_start(k: int) -> None:
+        log("edge", "mode_idle")
+        pump_uploads()
+        if uploads_left():
+            loop.at((k + 1) * DUTY_PERIOD_S, lambda: active_start(k + 1))
 
-        uplink.submit(up_tx, lambda: log("edge", "upload_start", i), done)
-
-    def schedule_windows() -> None:
-        # lazily emit duty-cycle boundaries while upload work remains
-        def idle_start(k: int):
-            def handler():
-                log("edge", "mode_idle")
-                pump_uploads()
-                if upload_queue or uploading["busy"] or \
-                        state["captured"] < sc.n_frames:
-                    loop.at((k + 1) * DUTY_PERIOD_S, active_start(k + 1))
-            return handler
-
-        def active_start(k: int):
-            def handler():
-                log("edge", "mode_active")
-                loop.at(k * DUTY_PERIOD_S + active_len, idle_start(k))
-            return handler
-
+    def active_start(k: int) -> None:
         log("edge", "mode_active")
-        loop.at(active_len, idle_start(0))
+        loop.at(k * DUTY_PERIOD_S + active_len, lambda: idle_start(k))
 
-    def schedule_retrain_checks() -> None:
-        def check(k: int):
-            def handler():
-                fresh = state["uploaded"] - state["retrained_at"]
-                work_left = (upload_queue or uploading["busy"]
-                             or state["captured"] < sc.n_frames or fresh > 0)
-                if fresh > 0 and not state["retraining"]:
-                    state["retraining"] = True
-                    state["retrained_at"] = state["uploaded"]
-                    log("cloud", "retrain_start")
-                    loop.at(loop.now + CLOUD_RETRAIN_S, retrain_done)
-                if work_left:
-                    loop.at((k + 1) * RETRAIN_INTERVAL_S, check(k + 1))
-            return handler
+    def retrain_check(k: int) -> None:
+        fresh = state["uploaded"] - state["retrained_at"]
+        work_left = uploads_left() or fresh > 0
+        if fresh > 0 and not state["retraining"]:
+            state["retraining"] = True
+            state["retrained_at"] = state["uploaded"]
+            log("cloud", "retrain_start")
+            loop.at(loop.now + CLOUD_RETRAIN_S, retrain_end)
+        if work_left:
+            loop.at((k + 1) * RETRAIN_INTERVAL_S, lambda: retrain_check(k + 1))
 
-        def retrain_done():
-            log("cloud", "retrain_end")
+    def retrain_end() -> None:
+        # the next retrain waits for this push's swap: one push at a time
+        log("cloud", "retrain_end")
+        log("cloud", "push_start")
+        loop.at(loop.now + weight_tx, lambda: hop(model_swap))
 
-            def push_delivered():
-                state["version"] += 1
-                state["retraining"] = False
-                log("edge", "model_swap")
-
-            def tx_done():
-                loop.at(loop.now + one_way(), push_delivered)
-
-            downlink.submit(weight_tx, lambda: log("cloud", "push_start"), tx_done)
-
-        loop.at(RETRAIN_INTERVAL_S, check(1))
+    def model_swap() -> None:
+        state["version"] += 1
+        state["retraining"] = False
+        log("edge", "model_swap")
 
     # ---------------- wiring ----------------
 
-    interval = 1.0 / CAPTURE_FPS
+    capture = cloud_capture if sc.path == "cloud" else ecc_capture
     for i in range(sc.n_frames):
-        t = i * interval
-        handler = cloud_capture(i, t) if sc.path == "cloud" else ecc_capture(i, t)
-
-        def counted(h=handler):
-            state["captured"] += 1
-            h()
-
-        loop.at(t, counted)
+        loop.at(i * interval, lambda i=i: capture(i))
     if sc.path == "ecc":
-        schedule_windows()
-        schedule_retrain_checks()
+        log("edge", "mode_active")
+        loop.at(active_len, lambda: idle_start(0))
+        loop.at(RETRAIN_INTERVAL_S, lambda: retrain_check(1))
 
     loop.run()
 

@@ -53,8 +53,8 @@ class OptimizerConfig:
     eta: float = 0.0002
 
     def __post_init__(self):
-        if self.eta <= 0:
-            raise ValueError(f"learning rate must be positive, got {self.eta}")
+        if not 0.0 < self.eta < math.inf:       # written so that NaN fails
+            raise ValueError(f"learning rate eta must be positive and finite, got {self.eta}")
 
 
 @dataclass
@@ -387,12 +387,15 @@ class ToyScenario:
     eval_every: int = 0            # 0: evaluate only at the end
 
     def __post_init__(self):
-        if self.steps < 1:
+        # each test is written so that NaN fails it
+        if not self.steps >= 1:
             raise ValueError(f"steps must be >= 1, got {self.steps}")
-        if self.val_images < 1:
+        if not self.val_images >= 1:
             raise ValueError(f"val_images must be >= 1, got {self.val_images}")
-        if self.eval_every < 0:
+        if not self.eval_every >= 0:
             raise ValueError(f"eval_every must be >= 0, got {self.eval_every}")
+        if not 0.0 < self.eta < math.inf:
+            raise ValueError(f"eta must be positive and finite, got {self.eta}")
         if not 1 <= self.batch_size <= self.train_images:
             raise ValueError(f"batch_size must be in 1..train_images "
                              f"({self.train_images}), got {self.batch_size}")

@@ -271,6 +271,8 @@ def test_train_toy_divergence_still_writes_history(capsys, tmp_path):
     (["--steps", "0"], "steps"),
     (["--steps", "2", "--eval-every", "-1"], "eval_every"),
     (["--steps", "2", "--train-images", "4"], "batch_size"),
+    (["--steps", "2", "--eta", "nan"], "eta"),
+    (["--steps", "2", "--eta", "inf"], "eta"),
 ])
 def test_train_toy_refuses_bad_settings(capsys, argv, field):
     # a run that takes no step, or cannot fill a batch, is not a success
@@ -337,6 +339,38 @@ def test_sim_net_profile_override(capsys, tmp_path):
     fast = float(capsys.readouterr().out
                  .split("mean_delay_s=")[1].split()[0])
     assert slow > fast                      # narrower uplink queues harder
+
+
+# ---------------------------------------------------------------------------
+# output paths
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("case", ["detect --out", "detect --draw-dir", "sim --trace",
+                                  "sim --delays", "anchors --out", "train-toy --out",
+                                  "train-toy --history"])
+def test_unwritable_output_path_is_an_error_not_a_traceback(case, mini, capsys, tmp_path,
+                                                           monkeypatch):
+    missing = str(tmp_path / "missing" / "file")
+    (tmp_path / "plain").write_text("")
+    labels = tmp_path / "labels.csv"
+    labels.write_text("".join(f"i,0,9,9,{10 + i},{20 + i}\n" for i in range(4)))
+    # train-toy checks its paths before the run, so a lost run costs nothing
+    monkeypatch.setattr(cli, "train_toy", lambda sc: pytest.fail("a training step ran"))
+    argv = {
+        "detect --out": ["detect", *_model_flags(mini), "--out", missing, mini["img"]],
+        # --draw-dir makes a missing directory; a regular file in the path stops it
+        "detect --draw-dir": ["detect", *_model_flags(mini), "--draw-dir",
+                              str(tmp_path / "plain" / "drawn"), mini["img"]],
+        "sim --trace": ["sim", "--path", "ecc", "--frames", "5", "--trace", missing],
+        "sim --delays": ["sim", "--path", "cloud", "--frames", "5", "--delays", missing],
+        "anchors --out": ["anchors", "--labels", str(labels), "--k", "2", "--out", missing],
+        "train-toy --out": ["train-toy", "--steps", "1", "--train-images", "8", "--out", missing],
+        "train-toy --history": ["train-toy", "--steps", "1", "--train-images", "8",
+                                "--history", missing],
+    }[case]
+    rc = cli.main(argv)
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 # ---------------------------------------------------------------------------

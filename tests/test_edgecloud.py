@@ -1,5 +1,6 @@
 """Wire protocol round trips, the offloading simulator, and the live loop."""
 
+import hashlib
 import io
 import math
 import socket
@@ -245,11 +246,24 @@ def test_delays_positive_and_cloud_above_rtt(pair_300):
     assert all(d > floor for d in cloud.delays)
 
 
+@pytest.mark.parametrize("path,digest,n_events,version", [
+    ("cloud", "2066d34d978b5ae993c16a38c7a5e984d903823d35c633d8f3dbc3899e3a3f6b", 2856, 1),
+    ("ecc", "aa31f30192ac36656bd2fb812c7a4d8f5df0b5c3dc1f42442403ba71347072ec", 2378, 28),
+])
+def test_exact_trace_on_a_jittery_lossy_link(path, digest, n_events, version):
+    # pins event order, times and rng draws byte for byte, not just properties
+    net = sim.NetworkModel(jitter_max_s=0.01, loss_rate=0.05)
+    r = sim.run_sim(sim.Scenario(path=path, n_frames=400, seed=7, net=net))
+    assert (len(r.events), r.final_model_version) == (n_events, version)
+    assert hashlib.sha256(r.to_csv().encode()).hexdigest() == digest
+
+
 def test_scenario_validation():
     with pytest.raises(ValueError):
         sim.Scenario(path="fog")
-    with pytest.raises(ValueError):
-        sim.Scenario(n_frames=0)
+    for bad in (0, math.nan, 2.5):
+        with pytest.raises(ValueError, match="n_frames"):
+            sim.Scenario(n_frames=bad)
     with pytest.raises(ValueError):
         sim.NetworkModel(loss_rate=1.0)
     with pytest.raises(ValueError):

@@ -512,10 +512,9 @@ def test_diverged_step_leaves_the_graph_unchanged():
 
 
 def test_optimizer_rejects_nonpositive_eta():
-    with pytest.raises(ValueError):
-        OptimizerConfig(eta=0.0)
-    with pytest.raises(ValueError):
-        OptimizerConfig(eta=-1e-3)
+    for bad in (0.0, -1e-3, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="eta"):
+            OptimizerConfig(eta=bad)
 
 
 def test_update_rule_arithmetic():
@@ -535,7 +534,12 @@ def test_toy_scenario_rejects_bad_settings():
                        (dict(eval_every=-1), "eval_every"),
                        (dict(batch_size=0), "batch_size"),
                        (dict(train_images=4), "batch_size"),
-                       (dict(train_images=16, batch_size=17), "batch_size")):
+                       (dict(train_images=16, batch_size=17), "batch_size"),
+                       (dict(steps=math.nan), "steps"),
+                       (dict(val_images=math.nan), "val_images"),
+                       (dict(eval_every=math.nan), "eval_every"),
+                       (dict(eta=0.0), "eta"), (dict(eta=-1.0), "eta"),
+                       (dict(eta=math.nan), "eta"), (dict(eta=math.inf), "eta")):
         with pytest.raises(ValueError, match=field):
             ToyScenario(**bad)
     ToyScenario(steps=1, train_images=8, batch_size=8, val_images=1)

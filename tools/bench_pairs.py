@@ -15,7 +15,8 @@ in the base export and once in this working tree, with the same seed and
 BENCHMARK.json's run_seconds. Which side goes first alternates from pair
 to pair, so a drift in host load falls on both sides. Pair i uses seed
 seeds[i % len(seeds)]. Each side then makes one traced run per workload on
-the first seed, also run_seconds long.
+the first seed, also run_seconds long. SIGTERM stops a run cleanly: the
+running perfbench child is killed and the export is removed.
 
 The JSON holds the CPU model; the seeds; per workload and side, the
 environment record run.py prints (commit, source digest, Python, numpy, BLAS
@@ -31,6 +32,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import signal
 import statistics
 import subprocess
 import sys
@@ -118,6 +120,9 @@ def cpu_model() -> str:
 
 
 def main(argv=None) -> int:
+    # A kill unwinds like an exception: subprocess.run kills the running
+    # run.py child and the base export's TemporaryDirectory is removed.
+    signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(128 + signum))
     args = parse_args(argv)
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]}
