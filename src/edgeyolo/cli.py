@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import socket
 import statistics
@@ -25,7 +26,7 @@ import numpy as np
 
 from . import analyzer, images, netdef, nn
 from .anchors import AnchorSet, kmeans_anchors
-from .edgecloud import live
+from .edgecloud import live, protocol
 from .edgecloud.sim import EDGE_PROFILES, NetworkModel, Scenario, run_sim
 from .postprocess import SoftNmsConfig
 from .training import (ToyScenario, TrainingDivergedError, detect_image,
@@ -264,9 +265,7 @@ def _net_from_profile(path: str | None) -> NetworkModel:
     spec = json.loads(Path(path).read_text())
     if not isinstance(spec, dict):
         raise ValueError(f"a net profile must be a JSON object, got {spec!r}")
-    allowed = {"uplink_bps", "downlink_bps", "rtt_s", "loss_rate",
-               "jitter_max_s"}
-    unknown = set(spec) - allowed
+    unknown = set(spec) - {f.name for f in dataclasses.fields(NetworkModel)}
     if unknown:
         raise ValueError(f"unknown net-profile keys: {sorted(unknown)}")
     for key, value in spec.items():
@@ -341,12 +340,17 @@ def cmd_edge(args) -> int:
     except OSError as e:
         return _fail(f"cannot reach cloud role: {e}")
     transport = live.Transport(conn)
+    bad_reply = None
     try:
         dets = node.run_session(transport, frames)
+    except protocol.ProtocolError as e:
+        bad_reply = e
     finally:
         transport.close()
     for line in node.log:
         print(line)
+    if bad_reply:
+        return _fail(f"bad reply from the cloud: {bad_reply}")
     total = sum(len(d) for d in dets)
     print(f"uploaded {len(frames)} frames, {total} local detections, "
           f"model version now {node.version}")
@@ -370,12 +374,12 @@ def build_parser() -> argparse.ArgumentParser:
     d.add_argument("--anchors", default=None,
                    help="anchor text file (default: preset 416 anchors)")
     d.add_argument("images", nargs="*", help="input images (.ppm, .png)")
-    d.add_argument("--score-floor", type=float, default=0.001,
-                   help="discard detections below this score (default 0.001)")
-    d.add_argument("--t-nms", type=float, default=0.45,
-                   help="suppression overlap threshold (default 0.45)")
-    d.add_argument("--sigma", type=float, default=0.5,
-                   help="Gaussian rescale width (default 0.5)")
+    d.add_argument("--score-floor", type=float, default=SoftNmsConfig.score_floor,
+                   help="discard detections below this score (default %(default)s)")
+    d.add_argument("--t-nms", type=float, default=SoftNmsConfig.t_nms,
+                   help="suppression overlap threshold (default %(default)s)")
+    d.add_argument("--sigma", type=float, default=SoftNmsConfig.sigma,
+                   help="Gaussian rescale width (default %(default)s)")
     d.add_argument("--out", default=None,
                    help="detection JSON-lines file (default stdout)")
     d.add_argument("--draw-dir", default=None,
@@ -415,15 +419,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     t = sub.add_parser("train-toy", help="train on the synthetic shapes task")
     t.add_argument("--seed", type=int, default=0)
-    t.add_argument("--steps", type=int, default=4000,
-                   help="SGD steps (default 4000)")
+    t.add_argument("--steps", type=int, default=ToyScenario.steps,
+                   help="SGD steps (default %(default)s)")
     t.add_argument("--eta", type=float, default=ToyScenario.eta,
                    help="peak learning rate, cosine-decayed over the run "
-                        f"(default {ToyScenario.eta})")
-    t.add_argument("--train-images", type=int, default=1024,
-                   help="synthetic training images (default 1024)")
-    t.add_argument("--eval-every", type=int, default=0,
-                   help="evaluate held-out AP every N steps (0: only at end)")
+                        "(default %(default)s)")
+    t.add_argument("--train-images", type=int, default=ToyScenario.train_images,
+                   help="synthetic training images (default %(default)s)")
+    t.add_argument("--eval-every", type=int, default=ToyScenario.eval_every,
+                   help="evaluate held-out AP every N steps "
+                        "(default %(default)s: only at the end)")
     t.add_argument("--out", default=None, help="weight blob to write")
     t.add_argument("--history", default=None, help="loss history CSV")
     t.set_defaults(fn=cmd_train_toy)
@@ -432,8 +437,8 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--path", choices=("ecc", "cloud"), required=True,
                    help="ecc: detect locally, upload in idle windows; "
                         "cloud: offload every frame")
-    s.add_argument("--frames", type=int, default=300,
-                   help="captured frames (default 300)")
+    s.add_argument("--frames", type=int, default=Scenario.n_frames,
+                   help="captured frames (default %(default)s)")
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--edge-profile", choices=sorted(EDGE_PROFILES),
                    default="xavier",

@@ -186,8 +186,17 @@ def as_arrays(dets: Sequence[Detection]) -> tuple[np.ndarray, np.ndarray, np.nda
 
 def decode_arrays(head: HeadOutput, anchors, img_w: float, img_h: float,
                   score_floor: float = 0.0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """decode's core: the kept cells' (N, 4) boxes, class ids and scores, in
-    (anchor, row, column) order."""
+    """Turn one head's raw tensor into candidates on an img_w x img_h canvas.
+
+    Returns the kept cells' (N, 4) (cx, cy, w, h) boxes, class ids and
+    scores, in (anchor, row, column) order. anchors is an (A, 2) array of
+    (w, h) pixel pairs for this scale. Each anchor cell yields at most one
+    candidate: its argmax class, kept when sigmoid(objectness) *
+    sigmoid(class logit) exceeds score_floor and its box is finite: a size
+    logit above ~709 overflows exp and is dropped. The class is the argmax
+    of the logits, so among logits above ~37, whose sigmoids all round to
+    1.0, the largest wins.
+    """
     raw = head.raw.data
     if raw.shape[0] != 1:
         raise ValueError(f"decode works on single-image tensors, got batch {raw.shape[0]}")
@@ -218,15 +227,7 @@ def decode_arrays(head: HeadOutput, anchors, img_w: float, img_h: float,
 
 def decode(head: HeadOutput, anchors, img_w: float, img_h: float,
            score_floor: float = 0.0) -> list[Detection]:
-    """Turn one head's raw tensor into detections on an img_w x img_h canvas.
-
-    anchors is an (A, 2) array of (w, h) pixel pairs for this scale. Each
-    anchor cell yields at most one detection: its argmax class, kept when
-    sigmoid(objectness) * sigmoid(class logit) exceeds score_floor and its
-    box is finite: a size logit above ~709 overflows exp and is dropped.
-    The class is the argmax of the logits, so among logits above ~37, whose
-    sigmoids all round to 1.0, the largest wins.
-    """
+    """decode_arrays as Detections; stays for perfbench's detect-416 until ROADMAP item 1."""
     return as_detections(*decode_arrays(head, anchors, img_w, img_h, score_floor))
 
 
@@ -327,7 +328,7 @@ def _heap_picks(s: list, pos, pairs, stop: tuple, cfg: SoftNmsConfig) -> list:
 
 
 def _rivals(pool, rows, cfg: SoftNmsConfig):
-    """A class's rival pairs if it takes the rival path (see soft_nms), else None.
+    """A class's rival pairs if it takes the rival path (see soft_nms_arrays), else None.
 
     The rival path pays for the candidate pairs once, the block passes for
     a block x pool IoU per pass, so the rival path wins where most boxes
@@ -345,10 +346,46 @@ def _rivals(pool, rows, cfg: SoftNmsConfig):
 
 def soft_nms_arrays(boxes, classes, scores,
                     cfg: SoftNmsConfig = SoftNmsConfig()) -> tuple[np.ndarray, np.ndarray]:
-    """soft_nms's core on (N, 4) (cx, cy, w, h) boxes, class ids and scores.
+    """Gaussian score decay per class: overlapping rivals are rescored, not cut.
 
-    Returns the kept rows' indices and their scores, by descending score
-    and then index.
+    Repeatedly keeps the highest-scoring remaining box M of each class (ties
+    go to the lower index) and rescales every rival with IoU(M, b) >= t_nms
+    by exp(-IoU / sigma). A box below score_floor, at the start or once
+    rescaled, is dropped. As sigma approaches 0 this reproduces hard
+    suppression at threshold t_nms. Raises ValueError on a non-finite score.
+
+    Takes (N, 4) (cx, cy, w, h) boxes, class ids and scores, and returns the
+    kept rows' indices and their scores, by descending score and then index.
+
+    One function, _heap_picks, runs the one-box loop as a heap over a list
+    of rival pairs, those whose IoU is positive and at least t_nms. That is
+    exact: a pair below the gate, or at IoU 0 (a factor of exp(0) = 1),
+    never changes a score, and the heap picks in the loop's order, ties
+    included, so every score sees the same multiplications in the same
+    order. Each class takes its pairs from one of two sources, chosen from
+    its own boxes.
+
+    The rival path is for a class of more than NMS_BLOCK boxes whose median
+    box survives three gated decays (ln(median / score_floor) >= 3 t_nms /
+    sigma), so that most boxes are kept, and whose sweep below finds at most
+    2 NMS_BLOCK candidate pairs per box. IoU is at most the 1-D IoU along
+    each axis, so IoU >= t needs the two boxes, each shrunk about its centre
+    by (1 - t) / (1 + t), to overlap on both axes. A sweep over the shrunk
+    boxes sorted by x finds those candidates, in chunks of about PAIR_CHUNK
+    pairs, and the loop runs once over the class, to the floor.
+
+    Every other class takes block passes. A pass ranks the class's NMS_BLOCK
+    best live boxes by (score, lower index) and runs the loop over the pairs
+    of their IoU block, for as long as the best box still ranks ahead of the
+    best box outside the block, taken at its score when the pass began: a
+    higher score, or an equal one and a lower index. A block box decayed to
+    exactly that score with a higher index waits for the next pass. The
+    picks' decays then go to the rest of the pool in pick order. That is
+    exact: a score outside the block only falls during the pass, so the
+    one-box loop would keep the same boxes in the same order. That holds for
+    a block box with no rival in the block too: nothing decays it in the
+    pass and it ranks ahead of every box outside, so the loop picks it in
+    this pass, in its place in the pick order that the pool's decays follow.
     """
     if not np.isfinite(scores).all():
         raise ValueError("soft_nms needs finite scores")
@@ -402,44 +439,7 @@ def soft_nms_arrays(boxes, classes, scores,
 
 
 def soft_nms(dets: Sequence[Detection], cfg: SoftNmsConfig = SoftNmsConfig()) -> list[Detection]:
-    """Gaussian score decay per class: overlapping rivals are rescored, not cut.
-
-    Repeatedly keeps the highest-scoring remaining box M of each class (ties
-    go to the lower index) and rescales every rival with IoU(M, b) >= t_nms
-    by exp(-IoU / sigma). A box below score_floor, at the start or once
-    rescaled, is dropped. As sigma approaches 0 this reproduces hard
-    suppression at threshold t_nms. Raises ValueError on a non-finite score.
-
-    One function, _heap_picks, runs the one-box loop as a heap over a list
-    of rival pairs, those whose IoU is positive and at least t_nms. That is
-    exact: a pair below the gate, or at IoU 0 (a factor of exp(0) = 1),
-    never changes a score, and the heap picks in the loop's order, ties
-    included, so every score sees the same multiplications in the same
-    order. Each class takes its pairs from one of two sources, chosen from
-    its own boxes.
-
-    The rival path is for a class of more than NMS_BLOCK boxes whose median
-    box survives three gated decays (ln(median / score_floor) >= 3 t_nms /
-    sigma), so that most boxes are kept, and whose sweep below finds at most
-    2 NMS_BLOCK candidate pairs per box. IoU is at most the 1-D IoU along
-    each axis, so IoU >= t needs the two boxes, each shrunk about its centre
-    by (1 - t) / (1 + t), to overlap on both axes. A sweep over the shrunk
-    boxes sorted by x finds those candidates, in chunks of about PAIR_CHUNK
-    pairs, and the loop runs once over the class, to the floor.
-
-    Every other class takes block passes. A pass ranks the class's NMS_BLOCK
-    best live boxes by (score, lower index) and runs the loop over the pairs
-    of their IoU block, for as long as the best box still ranks ahead of the
-    best box outside the block, taken at its score when the pass began: a
-    higher score, or an equal one and a lower index. A block box decayed to
-    exactly that score with a higher index waits for the next pass. The
-    picks' decays then go to the rest of the pool in pick order. That is
-    exact: a score outside the block only falls during the pass, so the
-    one-box loop would keep the same boxes in the same order. That holds for
-    a block box with no rival in the block too: nothing decays it in the
-    pass and it ranks ahead of every box outside, so the loop picks it in
-    this pass, in its place in the pick order that the pool's decays follow.
-    """
+    """soft_nms_arrays on Detections; stays for perfbench's detect-416 until ROADMAP item 1."""
     idx, kept = soft_nms_arrays(*as_arrays(dets), cfg)
     return [Detection(dets[i].box, dets[i].class_id, score)
             for i, score in zip(idx.tolist(), kept.tolist())]

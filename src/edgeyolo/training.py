@@ -158,16 +158,16 @@ def assign_targets(gts: Sequence[tuple[Box, int]], anchors: AnchorSet,
 # loss
 # ---------------------------------------------------------------------------
 
-def _bce_and_dlogit(p: np.ndarray, target: float
+def _bce_and_dlogit(p: np.ndarray, target: np.ndarray
                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Elementwise clamped BCE against a constant target, d/d(logit), and
+    """Elementwise clamped BCE against a boolean target, d/d(logit), and
     the mask of terms clamped on the wrong side of the target."""
     pc = np.clip(p, BCE_EPS, 1.0 - BCE_EPS)
     above, below = p > BCE_EPS, p < 1.0 - BCE_EPS
-    in_range = above & below
-    if target == 1.0:
-        return -np.log(pc), np.where(in_range, p - 1.0, 0.0), ~above
-    return -np.log1p(-pc), np.where(in_range, p, 0.0), ~below
+    # p - True is p - 1.0 and p - False is p, so both halves keep their bits
+    return (np.where(target, -np.log(pc), -np.log1p(-pc)),
+            np.where(above & below, p - target, 0.0),
+            np.where(target, ~above, ~below))
 
 
 def _loss_and_grads(raws: list[np.ndarray], targets: Sequence[TargetAssignment]
@@ -207,34 +207,30 @@ def _loss_and_grads(raws: list[np.ndarray], targets: Sequence[TargetAssignment]
         dr = grads[si].reshape(r.shape)
 
         p_obj = sigmoid(r[:, :, 4])
-        l_pos, g_pos, stuck_pos = _bce_and_dlogit(p_obj, 1.0)
-        l_neg, g_neg, stuck_neg = _bce_and_dlogit(p_obj, 0.0)
+        l_obj, g_obj, stuck = _bce_and_dlogit(p_obj, pos)
         cells = (1, 2, 3)
-        obj_terms += np.sum(np.where(pos, l_pos, 0.0), axis=cells).tolist()
-        obj_terms += (lam * np.sum(np.where(pos, 0.0, l_neg), axis=cells)).tolist()
-        clamped_terms += np.sum(l_pos, axis=cells, where=pos & stuck_pos).tolist()
-        clamped_terms += (lam * np.sum(l_neg, axis=cells,
-                                       where=stuck_neg & ~pos)).tolist()
-        dr[:, :, 4] = np.where(pos, g_pos, lam[:, None, None, None] * g_neg)
+        obj_terms += np.sum(np.where(pos, l_obj, 0.0), axis=cells).tolist()
+        obj_terms += (lam * np.sum(np.where(pos, 0.0, l_obj), axis=cells)).tolist()
+        clamped_terms += np.sum(l_obj, axis=cells, where=pos & stuck).tolist()
+        clamped_terms += (lam * np.sum(l_obj, axis=cells, where=stuck & ~pos)).tolist()
+        dr[:, :, 4] = np.where(pos, g_obj, lam[:, None, None, None] * g_obj)
 
         # class BCE over every positive of this scale at once: (P, C)
         pb, pa, py, px = np.nonzero(pos)
         p_cls = sigmoid(r[pb, pa, 5:, py, px])
         cls_of = np.stack([ta.cls_target[si] for ta in targets])[pb, pa, py, px]
         onehot = np.arange(c) == cls_of[:, None]
-        l1, g1, stuck1 = _bce_and_dlogit(p_cls, 1.0)
-        l0, g0, stuck0 = _bce_and_dlogit(p_cls, 0.0)
-        l_cls = np.where(onehot, l1, l0)
+        l_cls, g_cls, stuck = _bce_and_dlogit(p_cls, onehot)
         cls_terms += np.sum(l_cls, axis=1).tolist()
         # pack each image's positives into its own row, so that its clamped
         # class terms are summed over its rows alone, as in a batch of one
         rank = np.arange(len(pb)) - np.searchsorted(pb, pb)
         rows = np.zeros((n, np.max(rank, initial=-1) + 1, c))
         mask = np.zeros(rows.shape, dtype=bool)
-        rows[pb, rank], mask[pb, rank] = l_cls, np.where(onehot, stuck1, stuck0)
+        rows[pb, rank], mask[pb, rank] = l_cls, stuck
         clamped_terms += np.sum(rows.reshape(n, -1), axis=1,
                                 where=mask.reshape(n, -1)).tolist()
-        dr[pb, pa, 5:, py, px] = np.where(onehot, g1, g0)
+        dr[pb, pa, 5:, py, px] = g_cls
 
         t = r[pb, pa, :4, py, px]
         # finite float32 logits can still overflow exp (~709); anything
@@ -612,29 +608,26 @@ def train_toy(scenario: ToyScenario = ToyScenario()) -> TrainResult:
             eta=sc.eta * 0.5 * (1.0 + math.cos(math.pi * step / sc.steps)))
         try:
             g, report = backward_and_step(g, batch, targets, opt)
+            if step == 0:
+                initial_loss = report.loss_total
+            final_loss = report.loss_total
+            clamped_share = report.loss_clamped / report.loss_total
+            entry = {"step": step, "loss_total": report.loss_total,
+                     "loss_box": report.loss_box, "loss_obj": report.loss_obj,
+                     "loss_cls": report.loss_cls, "clamped_share": clamped_share}
+            history.append(entry)
+            # backward_and_step has already refused a loss that is not finite
+            if report.loss_total > 1e4:
+                raise TrainingDivergedError(
+                    f"diverged: loss out of range at step {step}: {report}")
+            if clamped_share > 0.5 and report.loss_total > initial_loss:
+                # saturated terms pass no gradient: the run has stopped learning
+                raise TrainingDivergedError(
+                    f"diverged: clamped BCE terms carry {clamped_share:.0%} of a loss "
+                    f"above its initial {initial_loss:.4g} at step {step}: {report}")
         except TrainingDivergedError as err:
             err.history = history
             raise
-        if step == 0:
-            initial_loss = report.loss_total
-        final_loss = report.loss_total
-        clamped_share = report.loss_clamped / report.loss_total
-        entry = {"step": step, "loss_total": report.loss_total,
-                 "loss_box": report.loss_box, "loss_obj": report.loss_obj,
-                 "loss_cls": report.loss_cls, "clamped_share": clamped_share}
-        history.append(entry)
-        problem = None
-        if not math.isfinite(report.loss_total) or report.loss_total > 1e4:
-            problem = "loss out of range"
-        elif clamped_share > 0.5 and report.loss_total > initial_loss:
-            # saturated terms pass no gradient: the run has stopped learning
-            problem = (f"clamped BCE terms carry {clamped_share:.0%} of a loss "
-                       f"above its initial {initial_loss:.4g}")
-        if problem:
-            err = TrainingDivergedError(f"diverged: {problem} at step {step}: "
-                                        f"{report}")
-            err.history = history
-            raise err
         if sc.eval_every and (step + 1) % sc.eval_every == 0:
             entry["val_ap50"] = evaluate_toy(g, val_set, sc.decode_floor)
     final_ap = evaluate_toy(g, val_set, sc.decode_floor)

@@ -1,6 +1,7 @@
 """End-to-end smoke tests for every CLI subcommand (in-process main())."""
 
 import csv
+import dataclasses
 import json
 import math
 import socket
@@ -11,6 +12,10 @@ import numpy as np
 import pytest
 
 from edgeyolo import cli, images, netdef
+from edgeyolo.edgecloud import protocol
+from edgeyolo.edgecloud.sim import Scenario
+from edgeyolo.postprocess import SoftNmsConfig
+from edgeyolo.training import ToyScenario
 
 PRESET = Path(cli.__file__).parent / "presets"
 
@@ -428,9 +433,55 @@ def test_cloud_and_edge_roles_over_tcp(capsys):
     assert version >= 2                     # at least one push applied
 
 
+def test_edge_reports_a_malformed_cloud_reply(capsys):
+    srv = socket.create_server(("127.0.0.1", 0))
+    srv.settimeout(60)                      # an edge that never connects frees the thread
+
+    def fake_cloud():
+        conn, _ = srv.accept()
+        conn.settimeout(60)
+        with conn, conn.makefile("rb") as reader:
+            protocol.read_message(reader)
+            reply = bytearray(protocol.encode_message(protocol.Message(protocol.ACK, 1)))
+            reply[-1] ^= 0xFF               # the payload crc no longer matches
+            conn.sendall(bytes(reply))
+
+    t = threading.Thread(target=fake_cloud)
+    t.start()
+    try:
+        rc = cli.main(["edge", "--port", str(srv.getsockname()[1]), "--frames", "3"])
+    finally:
+        t.join(timeout=60)
+        srv.close()
+    assert not t.is_alive()
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad reply from the cloud: payload crc"), err
+
+
 # ---------------------------------------------------------------------------
 # parser
 # ---------------------------------------------------------------------------
+
+def test_parser_defaults_come_from_the_library():
+    parse = cli.build_parser().parse_args
+    detect = parse(["detect", "--config", "c", "--weights", "w"])
+    nms = SoftNmsConfig()
+    assert (detect.score_floor, detect.t_nms, detect.sigma) == \
+        (nms.score_floor, nms.t_nms, nms.sigma)
+    toy, sc = parse(["train-toy"]), ToyScenario()
+    assert (toy.steps, toy.eta, toy.train_images, toy.eval_every) == \
+        (sc.steps, sc.eta, sc.train_images, sc.eval_every)
+    assert parse(["sim", "--path", "ecc"]).frames == Scenario().n_frames
+
+
+def test_net_profile_accepts_every_link_field(capsys, tmp_path):
+    prof = tmp_path / "net.json"
+    fields = dataclasses.fields(cli.NetworkModel)
+    prof.write_text(json.dumps({f.name: f.default for f in fields}))
+    assert cli.main(["sim", "--path", "cloud", "--frames", "5",
+                     "--net-profile", str(prof)]) == 0
+
 
 def test_missing_subcommand_exits_with_usage():
     with pytest.raises(SystemExit) as e:

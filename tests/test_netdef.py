@@ -90,6 +90,52 @@ def test_missing_net_header_rejected():
         parse_config("conv 3x3/1 4\n")
 
 
+N = "net 16 16 3\n"
+
+CONFIG_ERRORS = [
+    # parse_config: each directive's grammar, with the line it sits on
+    ("", "no 'net' header", None, None),
+    ("net 16 16\n", "net takes exactly", 1, None),
+    ("net 16 x 3\n", "bad net dimensions", 1, None),
+    (N + "conv 3x3/1\n", "conv takes", 2, None),
+    (N + "conv 3x3/1 4 relu\n", "conv takes", 2, None),
+    (N + "conv 3x3 4\n", "expected <K>x<K>/<s>", 2, None),
+    (N + "conv 3x5/1 4\n", "only square kernels", 2, None),
+    (N + "conv 3x3/0 4\n", "must be positive", 2, None),
+    (N + "conv 2x2/1 4\n", "conv kernel must be odd", 2, None),
+    (N + "conv 3x3/3 4\n", "conv stride must be 1 or 2", 2, None),
+    (N + "conv 3x3/1 four\n", "bad filter count", 2, None),
+    (N + "conv 3x3/1 0\n", "filters must be >= 1", 2, None),
+    (N + "max\n", "max takes", 2, None),
+    (N + "conv 3x3/1 4\nroute 0 split 0 1\n", "split takes exactly one", 3, None),
+    (N + "conv 3x3/1 4\nroute 0 split 2\n", "split half must be 0 or 1", 3, None),
+    (N + "route split 0\n", "at least one source", 2, None),
+    (N + "route 0 x\n", "bad route indices", 2, None),
+    (N + "upsample 2\n", "upsample takes no arguments", 2, None),
+    (N + "head\n", "head takes", 2, None),
+    (N + "head first\n", "bad scale index", 2, None),
+    (N + "head -1\n", "scale index must be >= 0", 2, None),
+    # _infer_shapes: the layer whose shapes do not fit
+    ("net 0 16 3\n", "input dimensions must be >= 1", None, None),
+    (N + "max 17x17/2\n", "pool does not fit", None, 0),
+    (N + "conv 3x3/1 4\nconv 3x3/1 4\nroute 0 1 split 0\n", "exactly one source", None, 2),
+    (N + "conv 3x3/1 3\nroute 0 split 1\n", "cannot split 3 channels", None, 1),
+    (N + "conv 3x3/1 4\nconv 3x3/2 4\nroute 0 1\n", "disagree on spatial size", None, 2),
+    (N + "head 0\n", "head cannot be the first layer", None, 0),
+    ("net 16 8 3\nconv 1x1/1 4\nhead 0\n", "square grid", None, 1),
+    (N + "conv 1x1/1 4\nhead 0\nhead 0\n", "duplicate head scale index", None, 2),
+    (N + "conv 1x1/1 4\nhead 0\nhead 2\n", "must be 0..1", None, None),
+]
+
+
+@pytest.mark.parametrize("text,message,line,layer", CONFIG_ERRORS,
+                         ids=[case[1] for case in CONFIG_ERRORS])
+def test_config_errors_name_their_line_or_layer(text, message, line, layer):
+    with pytest.raises(ConfigError, match=message) as ei:
+        parse_config(text)
+    assert (ei.value.line, ei.value.layer) == (line, layer)
+
+
 # ---------------------------------------------------------------------------
 # preset shape golden (layer kind, output shape per printed architecture)
 # ---------------------------------------------------------------------------

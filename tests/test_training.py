@@ -5,12 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from edgeyolo import images, nn, netdef
+from edgeyolo import images, nn, netdef, training
 from edgeyolo.anchors import AnchorSet
 from edgeyolo.edgecloud.live import demo_setup
 from edgeyolo.netdef import HeadOutput, parse_config
 from edgeyolo.postprocess import Box, SoftNmsConfig, ciou_loss, decode, soft_nms
-from edgeyolo.training import (OptimizerConfig, ToyScenario,
+from edgeyolo.training import (LossReport, OptimizerConfig, ToyScenario,
                                TrainingDivergedError, _loss_and_grads,
                                assign_targets, backward_and_step, detect_image,
                                graph_backward, total_loss, train_toy)
@@ -384,9 +384,26 @@ conv 1x1/1 7 linear
 head 0
 """
 
+# max pools of both kinds, split routes of both halves, and a conv (layer 5)
+# that no head reads, so graph_backward skips it
+BRANCHY_CFG = """\
+net 16 16 3
+conv 3x3/1 4
+max 2x2/2
+route 1 split 1
+conv 3x3/1 4
+max 3x3/1
+conv 1x1/1 3
+route 4 split 0
+route 6 2
+conv 3x3/2 6
+conv 1x1/1 7 linear
+head 0
+"""
 
-def _mini_graph():
-    g = parse_config(MINI_CFG)
+
+def _mini_graph(cfg=MINI_CFG):
+    g = parse_config(cfg)
     anchors = _anchor_set([(6, 7)], input_size=16)
     g.attach_detection_meta(2, anchors, 1)
     g.init_random(11)
@@ -401,45 +418,45 @@ def _mini_loss(g, x, targets):
 
 
 def test_total_loss_gradcheck_through_graph(rng):
-    """Analytic parameter gradients vs central differences, h=1e-4."""
-    g, anchors = _mini_graph()
-    x = nn.Tensor(rng.uniform(0, 1, size=(2, 3, 16, 16)))
-    gts = [[(Box(6.0, 6.0, 6.5, 7.5), 0)], [(Box(10.0, 9.0, 5.5, 6.0), 1)]]
-    targets = [assign_targets(b, anchors, g.head_grids(), (16.0, 16.0), 2)
-               for b in gts]
+    """Analytic parameter gradients vs central differences, h=1e-4.
 
-    outputs, caches, heads = netdef.forward_trace(g, x)
-    raws = [h.raw.data for h in heads]
-    from edgeyolo.training import _loss_and_grads
-    _, raw_grads = _loss_and_grads(raws, targets)
-    head_idx = {sp.scale_index: sp.index for sp in g.head_layers()}
-    head_grads = {head_idx[h.scale_index]: raw_grads[k]
-                  for k, h in enumerate(heads)}
-    analytic, _ = graph_backward(g, x, outputs, caches, head_grads)
+    A conv layer with no analytic gradient must not move the loss."""
+    for cfg in (MINI_CFG, BRANCHY_CFG):
+        g, anchors = _mini_graph(cfg)
+        x = nn.Tensor(rng.uniform(0, 1, size=(2, 3, 16, 16)))
+        gts = [[(Box(6.0, 6.0, 6.5, 7.5), 0)], [(Box(10.0, 9.0, 5.5, 6.0), 1)]]
+        targets = [assign_targets(b, anchors, g.head_grids(), (16.0, 16.0), 2)
+                   for b in gts]
 
-    h = 1e-4
-    worst = 0.0
-    for li, pg in analytic.items():
-        p = g.params[li]
-        for name in ("w", "b", "gamma", "beta"):
-            if name not in pg:
-                continue
-            arr = p[name]
-            flat = arr.reshape(-1)
-            n_probe = min(10, flat.size)
-            probes = rng.choice(flat.size, size=n_probe, replace=False)
-            for j in probes:
-                keep = flat[j]
-                flat[j] = keep + h
-                hi = _mini_loss(g, x, targets)
-                flat[j] = keep - h
-                lo = _mini_loss(g, x, targets)
-                flat[j] = keep
-                num = (hi - lo) / (2 * h)
-                ana = pg[name].reshape(-1)[j]
-                denom = max(abs(num), abs(ana), 1e-6)
-                worst = max(worst, abs(num - ana) / denom)
-    assert worst < 1e-3, worst
+        outputs, caches, heads = netdef.forward_trace(g, x)
+        _, raw_grads = _loss_and_grads([h.raw.data for h in heads], targets)
+        head_idx = {sp.scale_index: sp.index for sp in g.head_layers()}
+        head_grads = {head_idx[h.scale_index]: raw_grads[k]
+                      for k, h in enumerate(heads)}
+        analytic, _ = graph_backward(g, x, outputs, caches, head_grads)
+
+        h = 1e-4
+        worst = 0.0
+        for sp in g.conv_layers():
+            p, pg = g.params[sp.index], analytic.get(sp.index)
+            for name in ("w", "b", "gamma", "beta"):
+                if name not in p:
+                    continue
+                flat = p[name].reshape(-1)
+                n_probe = min(10, flat.size)
+                probes = rng.choice(flat.size, size=n_probe, replace=False)
+                for j in probes:
+                    keep = flat[j]
+                    flat[j] = keep + h
+                    hi = _mini_loss(g, x, targets)
+                    flat[j] = keep - h
+                    lo = _mini_loss(g, x, targets)
+                    flat[j] = keep
+                    num = (hi - lo) / (2 * h)
+                    ana = pg[name].reshape(-1)[j] if pg else 0.0
+                    denom = max(abs(num), abs(ana), 1e-6)
+                    worst = max(worst, abs(num - ana) / denom)
+        assert worst < 1e-3, (cfg, worst)
 
 
 def test_single_step_decreases_loss_tiny_eta():
@@ -592,6 +609,16 @@ def test_divergence_aborts_with_history():
     with pytest.raises(TrainingDivergedError) as exc:
         train_toy(sc)
     assert isinstance(exc.value.history, list)
+
+
+def test_loss_out_of_range_aborts_with_history(monkeypatch):
+    huge = LossReport(0.0, 2e4, 0.0, 2e4, 1)
+    monkeypatch.setattr(training, "backward_and_step", lambda g, *_: (g, huge))
+    sc = ToyScenario(seed=1, steps=3, train_images=8, val_images=4, batch_size=4)
+    with pytest.raises(TrainingDivergedError) as exc:
+        train_toy(sc)
+    assert str(exc.value) == f"diverged: loss out of range at step 0: {huge}"
+    assert [row["step"] for row in exc.value.history] == [0]
 
 
 # ---------------------------------------------------------------------------
